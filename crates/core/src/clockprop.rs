@@ -36,7 +36,7 @@ impl ClockSync for ClockPropSync {
     fn sync_clocks(&mut self, ctx: &mut RankCtx, comm: &mut Comm, clk: BoxClock) -> BoxClock {
         if self.verify_shared_source {
             let my_node = ctx.topology().node_of(ctx.rank());
-            for &g in comm.members() {
+            for g in comm.members() {
                 assert_eq!(
                     ctx.topology().node_of(g),
                     my_node,

@@ -95,8 +95,7 @@ impl Hierarchical {
                 // Socket leaders join, colored by node.
                 let topo = comm
                     .members()
-                    .iter()
-                    .position(|&g| {
+                    .position(|g| {
                         ctx.topology().socket_of(g) == ctx.topology().socket_of(ctx.rank())
                     })
                     .expect("this rank's socket appears among members");

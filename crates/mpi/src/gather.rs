@@ -2,9 +2,16 @@
 //!
 //! Linear (rooted) implementations: the paper's algorithms use scatter
 //! exactly once per synchronization (HCA2's model distribution) and
-//! gather/allgather only for communicator creation, so their asymptotic
-//! cost is irrelevant next to the ping-pong phases; linear variants keep
-//! the code obviously correct. Payload sizes are tiny (tens of bytes).
+//! gather/allgather only for communicator creation; linear variants keep
+//! the code obviously correct.
+//!
+//! The allgather behind `Comm::split` is not cheap at scale: its bcast
+//! carries `21 * p` bytes (p length-prefixed 17-byte records) to every
+//! member, so the job handles O(p²) bytes. Host-cost contract: each rank
+//! scans its O(p) received bytes in place through [`Allgathered`], with
+//! no allocation per record. The wire format is the simulated cost and
+//! does not depend on this: a linear gather of `p - 1` messages, then a
+//! binomial bcast of the length-prefixed concatenation.
 
 use hcs_sim::RankCtx;
 
@@ -74,12 +81,13 @@ impl Comm {
 
     /// Every member contributes `data`; every member receives all
     /// contributions in communicator rank order (gather at 0 + bcast of
-    /// the length-prefixed concatenation).
-    pub fn allgather(&mut self, ctx: &mut RankCtx, data: &[u8]) -> Vec<Vec<u8>> {
+    /// the length-prefixed concatenation), as views into the received
+    /// buffer.
+    pub fn allgather(&mut self, ctx: &mut RankCtx, data: &[u8]) -> Allgathered {
         let gathered = self.gather(ctx, 0, data);
         let packed = match gathered {
             Some(parts) => {
-                let mut buf = Vec::new();
+                let mut buf = Vec::with_capacity(parts.iter().map(|p| 4 + p.len()).sum());
                 for p in &parts {
                     buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
                     buf.extend_from_slice(p);
@@ -88,23 +96,57 @@ impl Comm {
             }
             None => Vec::new(),
         };
-        let packed = self.bcast(ctx, 0, &packed);
-        unpack(&packed, self.size())
+        Allgathered {
+            buf: self.bcast(ctx, 0, &packed),
+            n: self.size(),
+        }
     }
 }
 
-fn unpack(buf: &[u8], n: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(n);
-    let mut off = 0usize;
-    for _ in 0..n {
-        let len =
-            u32::from_le_bytes(buf[off..off + 4].try_into().expect("truncated allgather")) as usize;
-        off += 4;
-        out.push(buf[off..off + len].to_vec());
-        off += len;
+/// The result of [`Comm::allgather`]: every member's contribution, in
+/// communicator rank order, read in place from the received buffer of
+/// `u32` little-endian lengths each followed by that many bytes.
+#[derive(Debug, Clone)]
+pub struct Allgathered {
+    buf: Vec<u8>,
+    n: usize,
+}
+
+impl Allgathered {
+    /// Number of contributions (the communicator size).
+    pub fn len(&self) -> usize {
+        self.n
     }
-    assert_eq!(off, buf.len(), "trailing bytes in allgather payload");
-    out
+
+    /// Whether there are no contributions.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The contribution of communicator rank `i` (a scan over the
+    /// records before it).
+    pub fn get(&self, i: usize) -> &[u8] {
+        assert!(i < self.n, "allgather index {i} out of range");
+        self.iter().nth(i).expect("allgather record")
+    }
+
+    /// The contributions in communicator rank order. Panics if the
+    /// buffer is truncated or has trailing bytes.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        let mut rest = self.buf.as_slice();
+        (0..self.n).map(move |i| {
+            let (len, tail) = rest.split_first_chunk::<4>().expect("truncated allgather");
+            let (rec, tail) = tail
+                .split_at_checked(u32::from_le_bytes(*len) as usize)
+                .expect("truncated allgather");
+            assert!(
+                i + 1 < self.n || tail.is_empty(),
+                "trailing bytes in allgather payload"
+            );
+            rest = tail;
+            rec
+        })
+    }
 }
 
 #[cfg(test)]
@@ -152,7 +194,9 @@ mod tests {
             let mut comm = Comm::world(ctx);
             // Variable-length contributions.
             let mine = vec![comm.rank() as u8; comm.rank() + 1];
-            comm.allgather(ctx, &mine)
+            let all = comm.allgather(ctx, &mine);
+            assert_eq!(all.get(2), &[2u8; 3]);
+            all.iter().map(<[u8]>::to_vec).collect::<Vec<_>>()
         });
         for per_rank in &res {
             assert_eq!(per_rank, &vec![vec![0u8; 1], vec![1u8; 2], vec![2u8; 3]]);
@@ -165,7 +209,9 @@ mod tests {
         let res = cluster.run(|ctx| {
             let mut comm = Comm::world(ctx);
             let mine: Vec<u8> = if comm.rank() == 1 { vec![9] } else { vec![] };
-            comm.allgather(ctx, &mine)
+            let all = comm.allgather(ctx, &mine);
+            assert_eq!(all.len(), 3);
+            all.iter().map(<[u8]>::to_vec).collect::<Vec<_>>()
         });
         assert_eq!(res[0], vec![vec![], vec![9], vec![]]);
     }

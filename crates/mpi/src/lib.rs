@@ -32,6 +32,7 @@ mod split;
 
 pub use alltoall::AlltoallAlgorithm;
 pub use barrier::BarrierAlgorithm;
+pub use gather::Allgathered;
 pub use reduce::{AllreduceAlgorithm, ReduceOp};
 
 use std::sync::Arc;
@@ -47,6 +48,17 @@ const COLL_BIT: Tag = 1 << 16;
 /// Maximum context id (14 bits; bit 31 is the engine's ACK bit).
 const CTX_MAX: u32 = (1 << 14) - 1;
 
+/// Communicator membership. World is the identity map, so no rank holds
+/// a p-entry list for it; split results share one list among the handles
+/// of a rank.
+#[derive(Debug, Clone)]
+enum Members {
+    /// Ranks `0..n`: communicator rank equals global rank.
+    World(usize),
+    /// Explicit global ranks in communicator rank order.
+    List(Arc<[Rank]>),
+}
+
 /// A group of ranks with a private tag space — the `MPI_Comm` analogue.
 ///
 /// Each participating rank holds its own `Comm` value; the *communicator*
@@ -55,8 +67,8 @@ const CTX_MAX: u32 = (1 << 14) - 1;
 #[derive(Debug, Clone)]
 pub struct Comm {
     /// Global engine ranks of the members, in communicator rank order.
-    ranks: Arc<Vec<Rank>>,
-    /// This rank's position in `ranks`.
+    members: Members,
+    /// This rank's position in `members`.
     my_pos: usize,
     /// Context id: disambiguates tags of different communicators.
     ctx_id: u32,
@@ -75,10 +87,9 @@ impl Comm {
     /// The communicator containing every rank (the `MPI_COMM_WORLD`
     /// analogue).
     pub fn world(ctx: &RankCtx) -> Self {
-        let all: Vec<Rank> = (0..ctx.size()).collect();
         let node_peers = ctx.topology().cores_per_node().min(ctx.size());
         Self {
-            ranks: Arc::new(all),
+            members: Members::World(ctx.size()),
             my_pos: ctx.rank(),
             ctx_id: 0,
             seq: 0,
@@ -87,7 +98,7 @@ impl Comm {
         }
     }
 
-    fn from_members(ctx: &RankCtx, members: Vec<Rank>, ctx_id: u32) -> Self {
+    fn from_members(ctx: &RankCtx, members: Arc<[Rank]>, ctx_id: u32) -> Self {
         let me = ctx.rank();
         let my_pos = members
             .iter()
@@ -99,7 +110,7 @@ impl Comm {
             .filter(|&&r| ctx.topology().node_of(r) == my_node)
             .count();
         Self {
-            ranks: Arc::new(members),
+            members: Members::List(members),
             my_pos,
             ctx_id,
             seq: 0,
@@ -115,17 +126,26 @@ impl Comm {
 
     /// Number of members.
     pub fn size(&self) -> usize {
-        self.ranks.len()
+        match &self.members {
+            Members::World(n) => *n,
+            Members::List(ranks) => ranks.len(),
+        }
     }
 
     /// Translates a communicator rank to the global engine rank.
     pub fn global_rank(&self, comm_rank: usize) -> Rank {
-        self.ranks[comm_rank]
+        match &self.members {
+            Members::World(n) => {
+                assert!(comm_rank < *n, "communicator rank {comm_rank} out of range");
+                comm_rank
+            }
+            Members::List(ranks) => ranks[comm_rank],
+        }
     }
 
     /// The members' global ranks, in communicator order.
-    pub fn members(&self) -> &[Rank] {
-        &self.ranks
+    pub fn members(&self) -> impl ExactSizeIterator<Item = Rank> + '_ {
+        (0..self.size()).map(|r| self.global_rank(r))
     }
 
     /// Number of communicator members on this rank's node.
@@ -149,18 +169,18 @@ impl Comm {
     /// Eager send to a communicator rank (the `MPI_Send` analogue for
     /// small messages).
     pub fn send(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, payload: &[u8]) {
-        ctx.send(self.ranks[dst], self.user_tag(tag), payload);
+        ctx.send(self.global_rank(dst), self.user_tag(tag), payload);
     }
 
     /// Synchronous send (`MPI_Ssend`): completes once the receiver has
     /// matched the message.
     pub fn ssend(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, payload: &[u8]) {
-        ctx.ssend(self.ranks[dst], self.user_tag(tag), payload);
+        ctx.ssend(self.global_rank(dst), self.user_tag(tag), payload);
     }
 
     /// Blocking receive from a communicator rank.
     pub fn recv(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> Payload {
-        ctx.recv(self.ranks[src], self.user_tag(tag))
+        ctx.recv(self.global_rank(src), self.user_tag(tag))
     }
 
     /// Sends a typed value over the [`Wire`] encoding (timestamps and

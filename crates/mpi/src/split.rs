@@ -5,6 +5,11 @@
 //! paper deliberately includes communicator creation in the measured
 //! synchronization duration of the hierarchical schemes (§IV-E), and so
 //! do we.
+//!
+//! Host cost: each split moves p 17-byte records to every member, so a
+//! rank scans O(p) bytes in place (see [`crate::Allgathered`]) and keeps
+//! only `(key, old rank)` pairs of its own color; members passing `None`
+//! skip the scan. Nothing is allocated per record.
 
 use hcs_sim::RankCtx;
 
@@ -36,18 +41,18 @@ impl Comm {
         mine.extend_from_slice(&key.to_le_bytes());
         let all = self.allgather(ctx, &mine);
 
-        let my_color = color?;
+        // Scan the records in place; keep only this color's members.
+        let my_color = color?.to_le_bytes();
         let mut members: Vec<(u64, usize)> = Vec::new();
         for (old_rank, rec) in all.iter().enumerate() {
-            let present = rec[0] != 0;
-            let c = u64::from_le_bytes(rec[1..9].try_into().expect("17-byte split record"));
-            let k = u64::from_le_bytes(rec[9..17].try_into().expect("17-byte split record"));
-            if present && c == my_color {
+            let rec: &[u8; 17] = rec.try_into().expect("17-byte split record");
+            if rec[0] != 0 && rec[1..9] == my_color {
+                let k = u64::from_le_bytes(rec[9..].try_into().expect("8-byte key"));
                 members.push((k, old_rank));
             }
         }
         members.sort_unstable();
-        let globals: Vec<usize> = members
+        let globals = members
             .iter()
             .map(|&(_, old)| self.global_rank(old))
             .collect();
@@ -109,7 +114,7 @@ mod tests {
             let mut world = Comm::world(ctx);
             let color = (ctx.rank() % 2) as u64;
             let sub = world.split(ctx, Some(color), 0).unwrap();
-            (sub.size(), sub.rank(), sub.members().to_vec())
+            (sub.size(), sub.rank(), sub.members().collect::<Vec<_>>())
         });
         assert_eq!(res[0].2, vec![0, 2, 4]);
         assert_eq!(res[1].2, vec![1, 3, 5]);
@@ -147,7 +152,7 @@ mod tests {
         let res = cluster.run(|ctx| {
             let mut world = Comm::world(ctx);
             let node_comm = world.split_shared_node(ctx);
-            (node_comm.size(), node_comm.members().to_vec())
+            (node_comm.size(), node_comm.members().collect::<Vec<_>>())
         });
         for (rank, (size, members)) in res.iter().enumerate() {
             let node = rank / 4;
@@ -161,7 +166,9 @@ mod tests {
         let cluster = testbed(3, 4).cluster(5);
         let res = cluster.run(|ctx| {
             let mut world = Comm::world(ctx);
-            world.split_node_leaders(ctx).map(|c| c.members().to_vec())
+            world
+                .split_node_leaders(ctx)
+                .map(|c| c.members().collect::<Vec<_>>())
         });
         for (rank, members) in res.iter().enumerate() {
             if rank % 4 == 0 {
@@ -178,7 +185,7 @@ mod tests {
         let res = cluster.run(|ctx| {
             let mut world = Comm::world(ctx);
             let sock = world.split_socket(ctx);
-            sock.members().to_vec()
+            sock.members().collect::<Vec<_>>()
         });
         assert_eq!(res[0], vec![0, 1]);
         assert_eq!(res[2], vec![2, 3]);

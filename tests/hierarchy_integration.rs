@@ -164,3 +164,39 @@ fn flattened_models_survive_the_wire() {
         assert!((v - evals[0]).abs() < 1e-12);
     }
 }
+
+#[test]
+fn h2hca_communicator_creation_traffic_is_pinned() {
+    // Golden pin for the split's wire traffic: H2HCA's two world splits
+    // (node leaders, then shared node) must send the same messages and
+    // bytes and leave every rank at the same virtual time, bit for bit,
+    // however the host side of `Comm::split` is implemented.
+    let machine = machines::titan().with_shape(8, 1, 4);
+    let res = machine.cluster(11).run(|ctx| {
+        let mut world = Comm::world(ctx);
+        let leaders = world.split_node_leaders(ctx).map(|c| c.size());
+        let node = world.split_shared_node(ctx).size();
+        let c = ctx.counters();
+        (
+            leaders,
+            node,
+            c.sent_msgs,
+            c.sent_bytes,
+            ctx.now().seconds().to_bits(),
+        )
+    });
+    let p = res.len();
+    assert_eq!(p, 32);
+    for (rank, (leaders, node, ..)) in res.iter().enumerate() {
+        assert_eq!(*leaders, (rank % 4 == 0).then_some(8));
+        assert_eq!(*node, 4);
+    }
+    let msgs: u64 = res.iter().map(|r| r.2).sum();
+    let bytes: u64 = res.iter().map(|r| r.3).sum();
+    // Two splits, each a linear gather (p - 1 messages of 17 B) plus a
+    // binomial bcast (p - 1 messages of 21 * p B).
+    assert_eq!(msgs, 124);
+    assert_eq!(bytes, 42718);
+    assert_eq!(res[0].4, 0x3f07_62b6_adeb_311c);
+    assert_eq!(res[p - 1].4, 0x3f10_9473_d445_a7ea);
+}

@@ -193,6 +193,60 @@ fn barriers_always_synchronize() {
 }
 
 #[test]
+fn split_matches_naive_reference() {
+    let mut rng = case_rng(15);
+    // (nodes, cores) shapes for p = 1, 2, 5, 16, 33.
+    for (nodes, cores) in [(1, 1), (1, 2), (5, 1), (4, 4), (11, 3)] {
+        let p = nodes * cores;
+        for _ in 0..4 {
+            // Few colors and keys, so groups are shared, `None` is common
+            // and keys repeat.
+            let colors: Vec<Option<u64>> = (0..p)
+                .map(|_| match rng.next_u64() % 4 {
+                    0 => None,
+                    c => Some(c * 1_000_003),
+                })
+                .collect();
+            let keys: Vec<u64> = (0..p).map(|_| rng.next_u64() % 3).collect();
+            let seed = rng.next_u64() % 1000;
+            let (cs, ks) = (colors.clone(), keys.clone());
+            let res = machines::testbed(nodes, cores)
+                .cluster(seed)
+                .run(move |ctx| {
+                    let mut world = Comm::world(ctx);
+                    let me = ctx.rank();
+                    let sub = world
+                        .split(ctx, cs[me], ks[me])
+                        .map(|c| (c.size(), c.rank(), c.members().collect::<Vec<_>>()));
+                    let same = world
+                        .split(ctx, Some(7), 0)
+                        .expect("every rank has a color");
+                    (sub, same.rank(), same.members().collect::<Vec<_>>())
+                });
+            for (me, (sub, same_rank, same_members)) in res.iter().enumerate() {
+                // Naive reference: group by color, order by (key, old rank).
+                let want = colors[me].map(|c| {
+                    let mut group: Vec<(u64, usize)> = (0..p)
+                        .filter(|&r| colors[r] == Some(c))
+                        .map(|r| (keys[r], r))
+                        .collect();
+                    group.sort();
+                    let members: Vec<usize> = group.into_iter().map(|(_, r)| r).collect();
+                    let rank = members.iter().position(|&r| r == me).unwrap();
+                    (members.len(), rank, members)
+                });
+                assert_eq!(
+                    sub, &want,
+                    "p={p} rank {me} colors {colors:?} keys {keys:?}"
+                );
+                assert_eq!(*same_rank, me);
+                assert_eq!(same_members, &(0..p).collect::<Vec<_>>());
+            }
+        }
+    }
+}
+
+#[test]
 fn flatten_roundtrips_arbitrary_chains() {
     let mut rng = case_rng(8);
     for _ in 0..12 {
