@@ -6,7 +6,10 @@
 use hierarchical_clock_sync::bench::prelude::*;
 use hierarchical_clock_sync::mpi::ReduceOp;
 use hierarchical_clock_sync::prelude::*;
-use hierarchical_clock_sync::sim::obs::{chrome_trace, summary_json, ClockReadings, RankRecorder};
+use hierarchical_clock_sync::sim::obs::{
+    chrome_trace, flame_report, summary_json, ClockReadings, RankRecorder,
+};
+use hierarchical_clock_sync::sim::TraceLog;
 
 fn observed_cluster() -> Cluster {
     machines::testbed(2, 2)
@@ -75,11 +78,10 @@ fn observed_run_contains_sync_and_repetition_spans() {
     }
 }
 
-/// A hand-built log covering every event kind; pins the exact
-/// `trace_event` JSON the sink emits. Regenerate with
+/// A hand-built log covering every event kind; the golden files below
+/// pin the exact bytes each sink emits for it. Regenerate them with
 /// `OBS_GOLDEN_REGEN=1 cargo test --test obs_trace`.
-#[test]
-fn chrome_trace_matches_golden_file() {
+fn golden_log() -> TraceLog {
     let mut r0 = RankRecorder::new(0, 64);
     r0.enter(1.0, "sync/demo", 0, ClockReadings::NONE);
     r0.enter(1.25, "round \"zero\"", 0, ClockReadings::global(0.125));
@@ -91,21 +93,61 @@ fn chrome_trace_matches_golden_file() {
     r0.exit(3.0, ClockReadings::NONE);
     let mut r1 = RankRecorder::new(1, 64);
     r1.recv(1.75, 0, 7, 8);
-    let log = hierarchical_clock_sync::sim::TraceLog::new(vec![r0, r1]);
+    TraceLog::new(vec![r0, r1])
+}
 
-    let got = chrome_trace(&log);
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/obs_chrome_trace.json"
-    );
+fn assert_golden(file: &str, got: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("OBS_GOLDEN_REGEN").is_some() {
-        std::fs::write(path, &got).expect("write golden file");
+        std::fs::write(&path, got).expect("write golden file");
         return;
     }
-    let want = std::fs::read_to_string(path).expect("golden file exists");
+    let want = std::fs::read_to_string(&path).expect("golden file exists");
     assert_eq!(
         got, want,
-        "chrome_trace schema drifted from the golden file; \
-         regenerate with OBS_GOLDEN_REGEN=1 if intentional"
+        "sink output drifted from {file}; regenerate with OBS_GOLDEN_REGEN=1 if intentional"
     );
+}
+
+#[test]
+fn chrome_trace_matches_golden_file() {
+    assert_golden("obs_chrome_trace.json", &chrome_trace(&golden_log()));
+}
+
+#[test]
+fn summary_json_matches_golden_file() {
+    assert_golden("obs_summary.json", &summary_json(&golden_log()));
+}
+
+#[test]
+fn flame_report_matches_golden_file() {
+    assert_golden("obs_flame.txt", &flame_report(&golden_log()));
+}
+
+/// 64-bit FNV-1a: a dependency-free digest for pinning large outputs.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the length and digest of every sink on the realistic workload:
+/// many channels, several flows per channel, nested spans and clock
+/// readings. Any change to row order, flow ids or number formatting
+/// shows up here even where the small golden log has no such case.
+#[test]
+fn sink_outputs_on_observed_run_are_pinned() {
+    let (_, log) = observed_cluster().run_observed(workload);
+    let got = [
+        ("chrome_trace", chrome_trace(&log)),
+        ("summary_json", summary_json(&log)),
+        ("flame_report", flame_report(&log)),
+    ]
+    .map(|(sink, out)| (sink, out.len(), fnv1a(out.as_bytes())));
+    let want = [
+        ("chrome_trace", 482_111, 0x9653_a3c4_57ff_76a5),
+        ("summary_json", 1_737, 0xedb8_26fd_10e1_47ae),
+        ("flame_report", 1_018, 0x3388_a373_46b6_207b),
+    ];
+    assert_eq!(got, want, "sink bytes on the observed run changed");
 }
