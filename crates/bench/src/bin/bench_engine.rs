@@ -1,9 +1,11 @@
 //! Tracked perf baseline of the virtual-time engine.
 //!
 //! Runs the engine throughput workloads (message rate, repeated-run
-//! rate through the persistent thread pool vs fresh-spawn, fan-in) and
-//! writes the results to `BENCH_engine.json` so the perf trajectory of
-//! the simulator is recorded in-repo, PR over PR.
+//! rate through the persistent thread pool vs fresh-spawn, fan-in,
+//! fan-out; the message-rate groups on both engines, the events rows
+//! suffixed `_events`) and writes the results to `BENCH_engine.json`
+//! so the perf trajectory of the simulator is recorded in-repo, PR
+//! over PR.
 //!
 //! ```text
 //! cargo run --release -p hcs-experiments --bin bench_engine \
@@ -63,6 +65,46 @@ fn pingpong_run(p: usize, msgs: u32, seed: u64, pooled: bool, engine: EngineMode
     }
 }
 
+/// The engines of the message-rate groups, with their case suffixes.
+const ENGINES: [(&str, EngineMode); 2] =
+    [("", EngineMode::Threads), ("_events", EngineMode::Events)];
+
+/// One fan run on `ranks` ranks: every other rank streams FAN_ROUNDS
+/// messages at rank 0 (`fan_in`), or rank 0 streams FAN_ROUNDS to each.
+fn fan_run(ranks: usize, fan_in: bool, engine: EngineMode) {
+    let cluster = machines::testbed(ranks / 4, 4)
+        .cluster(2)
+        .to_builder()
+        .engine(engine)
+        .build();
+    cluster.run(|ctx| match (ctx.rank(), fan_in) {
+        (0, true) => {
+            for src in 1..ctx.size() {
+                for _ in 0..FAN_ROUNDS {
+                    let _ = ctx.recv(src, 0);
+                }
+            }
+        }
+        (0, false) => {
+            for dst in 1..ctx.size() {
+                for _ in 0..FAN_ROUNDS {
+                    ctx.send(dst, 0, &[0u8; 8]);
+                }
+            }
+        }
+        (_, true) => {
+            for _ in 0..FAN_ROUNDS {
+                ctx.send(0, 0, &[0u8; 8]);
+            }
+        }
+        (_, false) => {
+            for _ in 0..FAN_ROUNDS {
+                let _ = ctx.recv(0, 0);
+            }
+        }
+    });
+}
+
 fn main() {
     let args = Args::parse(&["out", "group"]);
     let out_path = args.get_str("out", "BENCH_engine.json");
@@ -75,13 +117,15 @@ fn main() {
 
     // Message throughput (2 messages per round trip).
     for msgs in [1_000u32, 10_000] {
-        r.case_throughput(
-            "engine_pingpong",
-            &msgs.to_string(),
-            msgs as f64 * 2.0,
-            "msgs",
-            || pingpong_run(2, msgs, 1, true, EngineMode::Threads),
-        );
+        for (suffix, engine) in ENGINES {
+            r.case_throughput(
+                "engine_pingpong",
+                &format!("{msgs}{suffix}"),
+                msgs as f64 * 2.0,
+                "msgs",
+                || pingpong_run(2, msgs, 1, true, engine),
+            );
+        }
     }
 
     // Repeated-run rate: pooled vs fresh-spawn at the tracked sizes,
@@ -141,57 +185,25 @@ fn main() {
     // receive order forces the out-of-order messages through the SoA
     // pending buffer — this row tracks the full batched receive path,
     // not run dispatch.
-    for ranks in [16usize, 64, 256, 1024] {
-        r.case_throughput(
-            "engine_fan_in",
-            &ranks.to_string(),
-            ((ranks - 1) * FAN_ROUNDS) as f64,
-            "msgs",
-            || {
-                machines::testbed(ranks / 4, 4).cluster(2).run(|ctx| {
-                    if ctx.rank() == 0 {
-                        for src in 1..ctx.size() {
-                            for _ in 0..FAN_ROUNDS {
-                                let _ = ctx.recv(src, 0);
-                            }
-                        }
-                    } else {
-                        for _ in 0..FAN_ROUNDS {
-                            ctx.send(0, 0, &[0u8; 8]);
-                        }
-                    }
-                });
-            },
-        );
-    }
-
+    //
     // Fan-out message rate: rank 0 streams FAN_ROUNDS messages to every
     // other rank, destination-major so consecutive sends coalesce into
-    // staged batches. Rank 0 runs first (caller-runs dispatch), so the
-    // receivers find their bursts already delivered — the row isolates
-    // sender-side staging plus receiver-side batch draining.
-    for ranks in [16usize, 64, 256, 1024] {
-        r.case_throughput(
-            "engine_fan_out",
-            &ranks.to_string(),
-            ((ranks - 1) * FAN_ROUNDS) as f64,
-            "msgs",
-            || {
-                machines::testbed(ranks / 4, 4).cluster(2).run(|ctx| {
-                    if ctx.rank() == 0 {
-                        for dst in 1..ctx.size() {
-                            for _ in 0..FAN_ROUNDS {
-                                ctx.send(dst, 0, &[0u8; 8]);
-                            }
-                        }
-                    } else {
-                        for _ in 0..FAN_ROUNDS {
-                            let _ = ctx.recv(0, 0);
-                        }
-                    }
-                });
-            },
-        );
+    // staged batches. On the thread engine rank 0 runs first
+    // (caller-runs dispatch), so the receivers find their bursts
+    // already delivered — the row isolates sender-side staging plus
+    // receiver-side batch draining.
+    for (group, fan_in) in [("engine_fan_in", true), ("engine_fan_out", false)] {
+        for ranks in [16usize, 64, 256, 1024] {
+            for (suffix, engine) in ENGINES {
+                r.case_throughput(
+                    group,
+                    &format!("{ranks}{suffix}"),
+                    ((ranks - 1) * FAN_ROUNDS) as f64,
+                    "msgs",
+                    || fan_run(ranks, fan_in, engine),
+                );
+            }
+        }
     }
 
     println!(

@@ -13,7 +13,7 @@ use hcs_sim::{RankCtx, SimTime, Span};
 use crate::domain::GlobalTime;
 use crate::global::Clock;
 use crate::model::LinearModel;
-use crate::oscillator::Oscillator;
+use crate::oscillator::{Displacement, Oscillator};
 
 /// The flavor of the local time base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,6 +37,8 @@ pub enum TimeSource {
 #[derive(Debug)]
 pub struct LocalClock {
     oscillator: Oscillator,
+    /// `oscillator`'s displacement, constants hoisted for the read path.
+    displacement: Displacement,
     /// Constant offset of this clock's zero relative to true time zero.
     offset: f64,
     /// Reporting resolution (readings are floored to a multiple).
@@ -79,6 +81,7 @@ impl LocalClock {
         };
         let instance = ctx.fresh_label();
         Self {
+            displacement: Displacement::new(&oscillator),
             oscillator,
             offset,
             resolution,
@@ -93,6 +96,7 @@ impl LocalClock {
     /// for tests and analytic experiments.
     pub fn from_oscillator(oscillator: Oscillator, seed: u64) -> Self {
         Self {
+            displacement: Displacement::new(&oscillator),
             oscillator,
             offset: 0.0,
             resolution: 0.0,
@@ -121,7 +125,7 @@ impl Clock for LocalClock {
     fn get_time(&mut self, ctx: &mut RankCtx) -> GlobalTime {
         ctx.compute(self.read_cost);
         let t = ctx.now();
-        let mut reading = self.offset + self.oscillator.elapsed(t);
+        let mut reading = self.offset + self.displacement.elapsed(t);
         if self.read_noise_sd > 0.0 {
             reading += rngx::normal_with(&mut self.noise_rng, 0.0, self.read_noise_sd);
         }
@@ -134,7 +138,7 @@ impl Clock for LocalClock {
     }
 
     fn true_eval(&self, t: SimTime) -> GlobalTime {
-        GlobalTime::from_raw_seconds(self.offset + self.oscillator.elapsed(t))
+        GlobalTime::from_raw_seconds(self.offset + self.displacement.elapsed(t))
     }
 
     fn drift_rate(&self, t: SimTime) -> f64 {

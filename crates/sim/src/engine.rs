@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use hcs_obs::{ClockReadings, ObsSpec, RankRecorder, Recorder, TraceLog};
 
 use crate::cont;
-use crate::events::{self, EventSched};
+use crate::events::{self, BodyRank, EventSched};
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultVerdict};
 use crate::lockutil::{lock_ignore_poison, OrderedMutex};
 use crate::msg::{Envelope, Payload, PendingBuf, ACK_BIT};
@@ -123,9 +123,13 @@ impl SpinWait {
 const STAGE_MAX: usize = 32;
 
 /// One rank's incoming-message queue: a reusable ring buffer under a
-/// mutex, with a condvar for blocking receives. Unlike a linked-list
-/// channel, pushing a message allocates nothing once the buffer has
-/// reached its high-water capacity.
+/// mutex, with a condvar for blocking receives on the thread engine.
+/// Unlike a linked-list channel, pushing a message allocates nothing
+/// once the buffer has reached its high-water capacity.
+///
+/// On the events engine the condvar is never used: a blocked receiver
+/// parks its continuation instead, and senders wake it through the
+/// scheduler's deferred wake path (see [`RunNet::wake`]).
 ///
 /// `len` mirrors `q.len()` (every store happens under the lock) so a
 /// receiver can watch for arrivals lock-free during the adaptive spin
@@ -153,19 +157,19 @@ struct RunNet {
     /// sender done + no buffered match" is deterministic proof that a
     /// deadline receive can only resolve as a timeout.
     done: Vec<AtomicBool>,
-    /// Whether `rank_done` must notify *every* mailbox (not just when
+    /// Whether `rank_done` must wake *every* live rank (not just when
     /// the run collapses to one live rank): armed when the fault plan is
     /// non-empty or any rank registers a deadline receive, so parked
     /// deadline waiters observe sender completion. Benign runs keep the
-    /// legacy single notify-all.
+    /// legacy single wake-all.
     wake_done: AtomicBool,
     /// Wait-for-graph deadlock detector; `None` when opted out via
     /// [`ClusterBuilder::deadlock_detection`].
     waits: Option<WaitGraph>,
     /// Event scheduler of this run, set (once, before any rank starts)
-    /// only in [`EngineMode::Events`]. Every notification path pairs
-    /// its condvar notify with a continuation wake through this handle;
-    /// in thread mode the single relaxed-free `get()` is the only cost.
+    /// only in [`EngineMode::Events`]. Every notification path goes
+    /// through [`RunNet::wake`]: a condvar notify in thread mode, a
+    /// deferred continuation wake through this handle in events mode.
     events: OnceLock<Arc<EventSched>>,
 }
 
@@ -201,15 +205,25 @@ impl RunNet {
         }
     }
 
-    /// Requeues `rank`'s continuation if it is parked (no-op in thread
-    /// mode). Callers pair this with their condvar notify; taking the
-    /// scheduler lock (level 15) inside a held mailbox lock (level 10)
-    /// is a legal nesting, and the scheduler never acquires a mailbox,
-    /// so the edge is one-directional.
+    /// Tells `dst`'s receive that something it may wait on changed; the
+    /// running body `from` made the change.
+    ///
+    /// Thread engine: the mailbox condvar. `relock` says the change was
+    /// made outside `dst`'s mailbox lock (a completion, a fired cycle),
+    /// so the notify happens under it to close the lost-wakeup window;
+    /// a delivery changed the queue under that lock and just notifies.
+    /// Events engine: a deferred continuation wake, with no condvar and
+    /// no lock (see the `events` module docs).
     #[inline]
-    fn wake_events(&self, rank: Rank) {
-        if let Some(sched) = self.events.get() {
-            sched.wake(rank);
+    fn wake(&self, from: BodyRank, dst: Rank, relock: bool) {
+        let mb = &self.boxes[dst];
+        match self.events.get() {
+            Some(sched) => sched.wake_from(from, dst),
+            None if relock => {
+                let _guard = mb.q.acquire();
+                mb.cv.notify_all();
+            }
+            None => mb.cv.notify_one(),
         }
     }
 
@@ -253,7 +267,8 @@ impl RunNet {
     /// double verification walk inside [`WaitGraph::confirm`] then
     /// proves all probed edges coexisted (see `waitgraph` module
     /// docs). The caller must hold no mailbox lock.
-    fn detect_deadlock(&self, me: Rank) {
+    fn detect_deadlock(&self, body: BodyRank) {
+        let me = body.rank();
         let Some(wg) = &self.waits else { return };
         let Some(anchor) = wg.find_candidate(me) else {
             return;
@@ -267,18 +282,13 @@ impl RunNet {
             // A confirmed cycle with deadline members is not a bug: it
             // is message loss showing up as mutual waits. Fire every
             // deadline member (each resolves as a timeout at its own
-            // deadline) and wake them under their mailbox locks so the
-            // wakeup cannot be lost. The cycle is frozen, so which rank
-            // runs this is host-dependent but the fired set — and hence
-            // the virtual timeline — is not. A cycle with *zero*
+            // deadline) and wake them. The cycle is frozen, so which
+            // rank runs this is host-dependent but the fired set — and
+            // hence the virtual timeline — is not. A cycle with *zero*
             // deadline members keeps the exact legacy diagnosis.
             if wg.fire_deadline_members(&cycle) > 0 {
                 for e in cycle.iter().filter(|e| e.deadline) {
-                    {
-                        let _guard = self.boxes[e.waiter].q.acquire();
-                        self.boxes[e.waiter].cv.notify_all();
-                    }
-                    self.wake_events(e.waiter);
+                    self.wake(body, e.waiter, true);
                 }
                 return;
             }
@@ -289,8 +299,9 @@ impl RunNet {
         }
     }
 
+    /// Delivers one envelope from the running body `from` to `dst`.
     #[inline]
-    fn send(&self, dst: Rank, env: Envelope) {
+    fn send(&self, from: BodyRank, dst: Rank, env: Envelope) {
         let mb = &self.boxes[dst];
         let mut q = mb.q.acquire();
         q.push_back(env);
@@ -299,22 +310,20 @@ impl RunNet {
         // than a critical section.
         mb.len.store(q.len(), Ordering::Release);
         drop(q);
-        mb.cv.notify_one();
-        self.wake_events(dst);
+        self.wake(from, dst, false);
     }
 
     /// Delivers a sender's staged batch to `dst` in one lock
     /// acquisition and one wakeup. The staging buffer is drained in
     /// push order, so per-`(src, dst)` FIFO delivery order is exactly
     /// what a sequence of [`RunNet::send`] calls would have produced.
-    fn send_batch(&self, dst: Rank, stage: &mut Vec<Envelope>) {
+    fn send_batch(&self, from: BodyRank, dst: Rank, stage: &mut Vec<Envelope>) {
         let mb = &self.boxes[dst];
         let mut q = mb.q.acquire();
         q.extend(stage.drain(..));
         mb.len.store(q.len(), Ordering::Release);
         drop(q);
-        mb.cv.notify_one();
-        self.wake_events(dst);
+        self.wake(from, dst, false);
     }
 
     /// Blocking receive of *everything* queued: drains the whole
@@ -347,7 +356,7 @@ impl RunNet {
     #[allow(clippy::too_many_arguments)] // one call site; the args are one receive's state
     fn recv_batch(
         &self,
-        me: Rank,
+        body: BodyRank,
         src: Rank,
         wait_gen: u64,
         deadline: bool,
@@ -355,6 +364,7 @@ impl RunNet {
         spin: &mut SpinWait,
         ring: &mut VecDeque<Envelope>,
     ) -> BatchWait {
+        let me = body.rank();
         let mb = &self.boxes[me];
         // In events mode the spin fast path would burn a worker that
         // could be running another rank's continuation instead, and a
@@ -428,7 +438,7 @@ impl RunNet {
             if deadline {
                 // SeqCst: the `done` store / `wake_done` load handshake
                 // in `rank_done` (see `enable_done_wakeups`) guarantees
-                // we either see the flag here or get the notify below.
+                // we either see the flag here or get the wake below.
                 // Sound because the sender's body flushed every staged
                 // message before setting `done`: seeing the flag with an
                 // empty queue (held lock) proves no match is coming.
@@ -448,7 +458,7 @@ impl RunNet {
                 // resolution must be re-checked under the re-acquired
                 // lock (`probed` keeps this from spinning).
                 drop(q);
-                self.detect_deadlock(me);
+                self.detect_deadlock(body);
                 q = mb.q.acquire();
                 probed = true;
                 continue;
@@ -457,10 +467,10 @@ impl RunNet {
                 // Events mode: park the *continuation*, not the OS
                 // thread. Release the mailbox lock, then yield back to
                 // the event executor keyed on this rank's current
-                // virtual time. A notification arriving between the
-                // release and the executor publishing the parked slot
-                // is latched as `wake_pending` and converted into an
-                // immediate requeue (see [`EventSched::wake`]), so no
+                // virtual time. A wake issued after the checks above is
+                // applied once its waker yields: it requeues the park,
+                // or latches `wake_pending` if the park is not yet
+                // published (see the `events` module docs), so no
                 // wakeup is lost — the same guarantee the condvar gives
                 // the thread engine. On resume, re-acquire and re-check
                 // every resolution, exactly like a condvar wakeup.
@@ -480,31 +490,28 @@ impl RunNet {
 
     /// Marks one rank as finished. When only one rank remains — or when
     /// completion wakeups are armed (fault injection / deadline
-    /// receives) — every mailbox is notified (under its lock, to avoid
-    /// lost wakeups) so a blocked receiver can observe that its peer is
-    /// gone. The `done` store uses SeqCst to close the Dekker handshake
-    /// with [`RunNet::enable_done_wakeups`].
-    fn rank_done(&self, rank: Rank) {
+    /// receives) — every other live rank is woken (see [`RunNet::wake`])
+    /// so a blocked receiver can observe that its peer is gone. The
+    /// `done` store uses SeqCst to close the Dekker handshake with
+    /// [`RunNet::enable_done_wakeups`].
+    fn rank_done(&self, body: BodyRank) {
+        let rank = body.rank();
         self.done[rank].store(true, Ordering::SeqCst);
         let last_pair = self.alive.fetch_sub(1, Ordering::AcqRel) == 2;
         if last_pair || self.wake_done.load(Ordering::SeqCst) {
-            for (dst, mb) in self.boxes.iter().enumerate() {
+            for dst in 0..self.boxes.len() {
                 // A done rank's body has returned — it can never be
                 // blocked in a receive again, so its notification would
                 // be pure overhead. Skipping it turns the common
-                // "everyone finishes about together" case from p
-                // lock+notify cycles into p flag loads plus a handful
-                // of real notifications. (`done` is only ever set
-                // *after* a rank's last receive, so a skipped rank
-                // provably has no waiter to lose.)
+                // "everyone finishes about together" case from p wakes
+                // into p flag loads plus a handful of real wakes.
+                // (`done` is only ever set *after* a rank's last
+                // receive, so a skipped rank provably has no waiter to
+                // lose.)
                 if dst == rank || self.done[dst].load(Ordering::SeqCst) {
                     continue;
                 }
-                {
-                    let _guard = mb.q.acquire();
-                    mb.cv.notify_all();
-                }
-                self.wake_events(dst);
+                self.wake(body, dst, true);
             }
         }
     }
@@ -512,10 +519,12 @@ impl RunNet {
     /// Unblocks peers waiting for messages from a panicking rank (or
     /// anyone): poisons every mailbox so their receives fail fast
     /// instead of deadlocking the run.
-    fn poison_from(&self, src: Rank) {
+    fn poison_from(&self, body: BodyRank) {
+        let src = body.rank();
         for dst in 0..self.boxes.len() {
             if dst != src {
                 self.send(
+                    body,
                     dst,
                     Envelope {
                         src,
@@ -1242,8 +1251,11 @@ impl Cluster {
         // never unwind: panics from `f` are recorded and re-thrown on
         // the caller's thread below.
         let body = |rank: Rank| {
+            // SAFETY: this closure is rank `rank`'s body, and the token
+            // stays in it: in `ctx` and in the `net` calls below.
+            let me = unsafe { BodyRank::new(rank) };
             let mut ctx = RankCtx::new(
-                rank,
+                me,
                 Arc::clone(&self.topology),
                 Arc::clone(&self.network),
                 Arc::clone(&self.clock),
@@ -1277,11 +1289,11 @@ impl Cluster {
                     }
                 }
                 Err(payload) => {
-                    net.poison_from(rank);
+                    net.poison_from(me);
                     lock_ignore_poison(&panics).push(payload);
                 }
             }
-            net.rank_done(rank);
+            net.rank_done(me);
         };
 
         if self.engine_mode() == EngineMode::Events {
@@ -1412,6 +1424,8 @@ pub struct TrafficCounters {
 /// access. Handed to the rank closure by [`Cluster::run`].
 pub struct RankCtx {
     rank: Rank,
+    /// `rank` as its running body's wake token (see [`BodyRank`]).
+    me: BodyRank,
     size: usize,
     now: SimTime,
     topology: Arc<Topology>,
@@ -1491,7 +1505,7 @@ fn lazy_net_rng(slot: &mut Option<Pcg64>, master_seed: u64, rank: Rank) -> &mut 
 impl RankCtx {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        rank: Rank,
+        me: BodyRank,
         topology: Arc<Topology>,
         network: Arc<NetworkModel>,
         clock: Arc<ClockSpec>,
@@ -1501,6 +1515,7 @@ impl RankCtx {
         obs_spec: ObsSpec,
         net: Arc<RunNet>,
     ) -> Self {
+        let rank = me.rank();
         let size = topology.total_cores();
         let (noise_rng, next_noise_at) = match noise {
             Some(n) if n.rate_hz > 0.0 => {
@@ -1517,6 +1532,7 @@ impl RankCtx {
         };
         Self {
             rank,
+            me,
             size,
             now: SimTime::ZERO,
             topology,
@@ -1928,7 +1944,7 @@ impl RankCtx {
     pub(crate) fn flush_reorder_holds(&mut self) {
         while !self.reorder_hold.is_empty() {
             let (dst, env) = self.reorder_hold.remove(0);
-            self.net.send(dst, env);
+            self.net.send(self.me, dst, env);
         }
     }
 
@@ -1940,7 +1956,8 @@ impl RankCtx {
     /// flight" reasoning valid under batching.
     pub(crate) fn flush_staged(&mut self) {
         if !self.stage.is_empty() {
-            self.net.send_batch(self.stage_dst, &mut self.stage);
+            self.net
+                .send_batch(self.me, self.stage_dst, &mut self.stage);
         }
     }
 
@@ -2135,7 +2152,7 @@ impl RankCtx {
             dropped,
             payload: Payload::empty(),
         };
-        self.net.send(dst, env);
+        self.net.send(self.me, dst, env);
     }
 
     fn absorb_arrival(&mut self, env: &Envelope) {
@@ -2250,7 +2267,7 @@ impl RankCtx {
             // confirmed cycle's edges all coexisted.
             let wait_gen = self.net.begin_wait(self.rank, src, tag, deadline.is_some());
             match self.net.recv_batch(
-                self.rank,
+                self.me,
                 src,
                 wait_gen,
                 deadline.is_some(),

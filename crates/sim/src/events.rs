@@ -5,13 +5,14 @@
 //! continuation (`cont.rs`), not an OS thread. The scheduler here keeps
 //! one slot per rank and a ready queue ordered by `(virtual-time key,
 //! rank)`; a blocked receive suspends the continuation (the slot moves
-//! to `Parked`), and the sender's `RunNet` wake hook moves it back to
-//! `Ready`. Workers pop the earliest-keyed ready rank, resume it until
-//! it parks or finishes, and publish the transition under the scheduler
-//! lock. A *fresh* rank is cheaper still: its body runs inline on the
-//! claiming worker's hot fiber and only pays for a full [`Continuation`]
-//! (core box, dedicated stack) if it actually parks — so a rank that
-//! never blocks costs two stack switches and zero allocations.
+//! to `Parked`), and a wake from the sender moves it back to `Ready`
+//! (see "The wake protocol" below). Workers pop the earliest-keyed
+//! ready rank, resume it until it parks or finishes, and publish the
+//! transition under the scheduler lock. A *fresh* rank is cheaper
+//! still: its body runs inline on the claiming worker's hot fiber and
+//! only pays for a full [`Continuation`] (core box, dedicated stack) if
+//! it actually parks — so a rank that never blocks costs two stack
+//! switches and zero allocations.
 //!
 //! # Why this preserves determinism
 //!
@@ -27,18 +28,40 @@
 //! (it keeps memory low by letting non-blocked ranks drain before
 //! long-running conversations continue), not a correctness input.
 //!
-//! # The wake protocol (no lost wakeups)
+//! # The wake protocol (no lost wakeups, no per-message lock)
 //!
-//! A rank's slot is `Running` from the instant a worker claims it until
-//! the worker has published the post-resume state. `wake` on a `Parked`
-//! slot requeues it; `wake` on a `Running` slot sets `wake_pending`,
-//! which the worker converts into an immediate requeue when the resume
-//! comes back parked. A sender therefore never loses a wakeup
-//! regardless of where the receiver is between "checked its mailbox"
-//! and "slot published as Parked" — the receiver re-checks its mailbox
-//! on every resume, and each check happens-after the send that woke it
-//! (both sides pass through the scheduler lock).
+//! Every wake on this engine is issued by a rank body while its slot is
+//! `Running`: a delivery (`RunNet::send`/`send_batch`), a finishing
+//! rank (`rank_done`, `poison_from` in the body wrapper) or a fired
+//! deadline cycle (the parking rank's deadlock probe). The body does
+//! not touch the scheduler: [`EventSched::wake_from`] appends the
+//! target to the waker's own *outbox*, a per-rank list with exactly one
+//! writer (the running body) and one reader (the worker that resumed
+//! it, after `resume` returns). That worker applies the outbox in the
+//! scheduler-lock acquisition that already publishes the waker's
+//! outcome and claims the next batch:
+//!
+//! - `Parked` → `Ready` and a heap push;
+//! - `Running` → `wake_pending`, which the worker that claimed the
+//!   target converts into a requeue when its resume comes back parked;
+//! - `Ready` or `Finished` → no-op.
+//!
+//! A message hand-off therefore costs a mailbox lock and a `Vec` push:
+//! no condvar notify, no scheduler lock. A woken rank is requeued only
+//! once its waker yields, which moves *when on the host* it runs, never
+//! its virtual time (arrivals are fixed at send time).
+//!
+//! No wakeup is lost. A receiver checks every resolution under its
+//! mailbox lock while its slot is `Running`, then suspends. The waker
+//! changed the state (pushed the envelope, set its `done` flag, fired
+//! the cycle) before the wake entered its outbox, and the outbox is
+//! applied under the scheduler lock after that. If the receiver's park
+//! is already published, the wake requeues it; if not, its slot is
+//! still `Running` and the wake latches `wake_pending`; if it is
+//! `Ready`, its claim comes after the wake under the same lock. In every
+//! case the receiver's next mailbox check happens-after the change.
 
+use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, OnceLock};
@@ -101,8 +124,8 @@ struct SchedState {
     /// the rank tiebreak makes pop order fully deterministic for equal
     /// keys.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Workers blocked in `wait`; `wake` skips the condvar notify when
-    /// nobody is listening.
+    /// Workers blocked in `wait`; a publish that requeued ranks skips
+    /// the condvar notify when nobody is listening.
     idle: usize,
     finished: usize,
     /// First panic that escaped a rank body (engine bodies catch rank
@@ -132,6 +155,23 @@ impl SchedState {
         }
     }
 
+    /// Applies one wake to `rank`'s slot (see module docs) and returns
+    /// whether it requeued the rank.
+    fn wake(&mut self, rank: usize) -> bool {
+        match self.slots[rank] {
+            Slot::Parked { key } => {
+                self.slots[rank] = Slot::Ready;
+                self.ready.push(Reverse((key, rank)));
+                true
+            }
+            Slot::Running { .. } => {
+                self.slots[rank] = Slot::Running { wake_pending: true };
+                false
+            }
+            Slot::Ready | Slot::Finished => false,
+        }
+    }
+
     /// Whether no rank is ready (counting the unclaimed virgin run).
     fn queue_empty(&self, n: usize) -> bool {
         self.ready.is_empty() && self.seed_cursor >= n
@@ -155,8 +195,50 @@ enum Outcome {
     Parked { cont: Continuation, key: u64 },
 }
 
-/// The per-run event scheduler shared by the workers and the `RunNet`
-/// wake hooks.
+/// The wakes one rank's body issued during its current resume (see
+/// module docs).
+struct WakeOutbox {
+    wakes: UnsafeCell<Vec<usize>>,
+}
+
+// SAFETY: the same single-writer argument as the engine's `OutSlot`.
+// Rank r's outbox is written only by rank r's body, which runs on one
+// thread at a time and only while slot r is `Running`, and read only by
+// the worker that resumed it, after `resume` returned (same thread for
+// fibers; the continuation handshake orders the body's writes before
+// `resume` returns for thread-backed ones). That worker empties it
+// before publishing r's outcome under the scheduler lock, and the next
+// claim of r — the only way r's body runs again — happens after that
+// publish under the same lock. So no two accesses are ever concurrent.
+unsafe impl Sync for WakeOutbox {}
+
+/// The identity of the rank whose body runs the code holding it: the
+/// proof [`EventSched::wake_from`] needs that it writes its caller's
+/// own outbox. Only a rank's own body may hold one (see
+/// [`BodyRank::new`]).
+#[derive(Clone, Copy)]
+pub(crate) struct BodyRank {
+    rank: usize,
+}
+
+impl BodyRank {
+    /// # Safety
+    /// The result must stay in rank `rank`'s body: only code that runs
+    /// as that body (on the events engine, while its slot is `Running`)
+    /// may use it.
+    // SAFETY: the contract above is what `WakeOutbox`'s single-writer
+    // argument rests on.
+    pub(crate) unsafe fn new(rank: usize) -> Self {
+        BodyRank { rank }
+    }
+
+    pub(crate) fn rank(self) -> usize {
+        self.rank
+    }
+}
+
+/// The per-run event scheduler shared by the workers and the rank
+/// bodies' `RunNet` wake paths.
 pub(crate) struct EventSched {
     // lock-order: events.sched level=15
     runq: OrderedMutex<SchedState>,
@@ -168,6 +250,8 @@ pub(crate) struct EventSched {
     body: RankBody,
     /// Continuation backend for ranks that park.
     backend: Backend,
+    /// Per-rank wake outboxes (see [`WakeOutbox`]).
+    outbox: Vec<WakeOutbox>,
 }
 
 impl EventSched {
@@ -196,31 +280,24 @@ impl EventSched {
             workers: worker_count(),
             body,
             backend,
+            outbox: (0..n)
+                .map(|_| WakeOutbox {
+                    wakes: UnsafeCell::new(Vec::new()),
+                })
+                .collect(),
         }
     }
 
-    /// Wake hook called by `RunNet` after any state change a parked
-    /// receiver might be waiting on (message delivery, rank completion,
-    /// deadline-cycle firing). Always safe to over-call: waking a ready
-    /// or finished rank is a no-op, and a woken receiver simply
-    /// re-checks its mailbox.
-    pub(crate) fn wake(&self, rank: usize) {
-        let mut st = self.runq.acquire();
-        match st.slots[rank] {
-            Slot::Parked { key } => {
-                st.slots[rank] = Slot::Ready;
-                st.ready.push(Reverse((key, rank)));
-                let listening = st.idle > 0;
-                drop(st);
-                if listening {
-                    self.cv.notify_one();
-                }
-            }
-            Slot::Running { .. } => {
-                st.slots[rank] = Slot::Running { wake_pending: true };
-            }
-            Slot::Ready | Slot::Finished => {}
-        }
+    /// Wakes `target` on behalf of the running body `from`: called after
+    /// any state change a parked receiver might be waiting on (message
+    /// delivery, rank completion, deadline-cycle firing). Deferred — the
+    /// target is requeued once `from` yields (see module docs). Always
+    /// safe to over-call: waking a ready or finished rank is a no-op,
+    /// and a woken receiver simply re-checks its mailbox.
+    pub(crate) fn wake_from(&self, from: BodyRank, target: usize) {
+        // SAFETY: `from` proves the caller is that rank's running body,
+        // the outbox's only writer (see `WakeOutbox`).
+        unsafe { (*self.outbox[from.rank].wakes.get()).push(target) };
     }
 
     /// Runs one *fresh* rank: inline on the worker's hot fiber when the
@@ -271,6 +348,20 @@ impl EventSched {
             let mut requeued = 0usize;
             let mut winding_down = false;
             for (rank, outcome) in outcomes.drain(..) {
+                // SAFETY: `rank`'s body has returned from `resume` and
+                // its slot is still `Running` under this worker's claim,
+                // so nothing else touches its outbox until the outcome
+                // below is published (see `WakeOutbox`).
+                let wakes = unsafe { &mut *self.outbox[rank].wakes.get() };
+                for &target in wakes.iter() {
+                    requeued += usize::from(st.wake(target));
+                }
+                if matches!(outcome, Outcome::Finished { .. }) {
+                    // Never written again: release a completion burst.
+                    *wakes = Vec::new();
+                } else {
+                    wakes.clear();
+                }
                 match outcome {
                     Outcome::Finished { panic } => {
                         st.slots[rank] = Slot::Finished;
@@ -286,17 +377,13 @@ impl EventSched {
                         }
                     }
                     Outcome::Parked { cont, key } => {
-                        // A wake that arrived mid-resume left
-                        // `wake_pending` set; convert it into an
-                        // immediate requeue.
+                        // A wake that arrived while the rank ran left
+                        // `wake_pending` set; it applies to the park.
                         let woken = matches!(st.slots[rank], Slot::Running { wake_pending: true });
                         st.conts[rank] = Some(cont);
+                        st.slots[rank] = Slot::Parked { key };
                         if woken {
-                            st.slots[rank] = Slot::Ready;
-                            st.ready.push(Reverse((key, rank)));
-                            requeued += 1;
-                        } else {
-                            st.slots[rank] = Slot::Parked { key };
+                            requeued += usize::from(st.wake(rank));
                         }
                     }
                 }
@@ -434,6 +521,19 @@ mod tests {
     /// Adapts a per-rank job list to the shared-body interface: each
     /// rank takes and runs its own job exactly once.
     fn sched_from_jobs(jobs: Vec<Job>) -> Arc<EventSched> {
+        Arc::new(new_sched(jobs))
+    }
+
+    /// Like [`sched_from_jobs`], but sized for one worker, so a claim
+    /// takes every ready rank and [`EventSched::worker_loop`] on the
+    /// test thread runs them in a fixed order.
+    fn one_worker_sched(jobs: Vec<Job>) -> Arc<EventSched> {
+        let mut sched = new_sched(jobs);
+        sched.workers = 1;
+        Arc::new(sched)
+    }
+
+    fn new_sched(jobs: Vec<Job>) -> EventSched {
         let n = jobs.len();
         let cells: Vec<OrderedMutex<Option<Job>>> = jobs
             .into_iter()
@@ -446,7 +546,35 @@ mod tests {
                 .expect("each rank runs exactly once");
             job();
         };
-        Arc::new(EventSched::new(n, Box::new(body), backend_from_env()))
+        EventSched::new(n, Box::new(body), backend_from_env())
+    }
+
+    /// The wake token of the job body it is called in.
+    fn body(rank: usize) -> BodyRank {
+        // SAFETY: every call site is the body of job `rank`.
+        unsafe { BodyRank::new(rank) }
+    }
+
+    /// A late-bound handle to the run's scheduler, for bodies that wake.
+    type SchedSlot = Arc<OrderedMutex<Option<Arc<EventSched>>>>;
+
+    fn sched_slot() -> SchedSlot {
+        Arc::new(OrderedMutex::new("events.test-slot", 90, None))
+    }
+
+    fn installed(slot: &SchedSlot) -> Arc<EventSched> {
+        slot.acquire().clone().expect("installed before the run")
+    }
+
+    fn slot_of(sched: &EventSched, rank: usize) -> Slot {
+        sched.runq.acquire().slots[rank]
+    }
+
+    /// A shared event log, in the order the bodies ran.
+    type Log = Arc<OrderedMutex<Vec<&'static str>>>;
+
+    fn new_log() -> Log {
+        Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()))
     }
 
     fn run_jobs(jobs: Vec<Job>) {
@@ -479,8 +607,7 @@ mod tests {
         // Job 0 parks once; job 1 wakes it through the scheduler. The
         // executor must deliver the wake even though job 1 runs (and
         // wakes) while job 0 may still be publishing its park.
-        let sched0: Arc<OrderedMutex<Option<Arc<EventSched>>>> =
-            Arc::new(OrderedMutex::new("events.sched-test-slot", 90, None));
+        let sched0 = sched_slot();
         let hits = Arc::new(AtomicUsize::new(0));
         let s0 = Arc::clone(&sched0);
         let h0 = Arc::clone(&hits);
@@ -491,8 +618,7 @@ mod tests {
                 h0.fetch_add(1, Ordering::SeqCst);
             }),
             Box::new(move || {
-                let sched = s0.acquire().clone().expect("installed before drive");
-                sched.wake(0);
+                installed(&s0).wake_from(body(1), 0);
                 h1.fetch_add(1, Ordering::SeqCst);
             }),
         ];
@@ -509,8 +635,7 @@ mod tests {
         // each parks at a key that *reverses* the rank order. Rank 4
         // then wakes everyone — the drain must follow the keys.
         let order = Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()));
-        let slot: Arc<OrderedMutex<Option<Arc<EventSched>>>> =
-            Arc::new(OrderedMutex::new("events.test-slot", 90, None));
+        let slot = sched_slot();
         let n = 4usize;
         let mut jobs: Vec<Job> = (0..n)
             .map(|r| {
@@ -525,9 +650,9 @@ mod tests {
             .collect();
         let waker = Arc::clone(&slot);
         jobs.push(Box::new(move || {
-            let sched = waker.acquire().clone().expect("installed before the run");
+            let sched = installed(&waker);
             for rank in 0..n {
-                sched.wake(rank);
+                sched.wake_from(body(n), rank);
             }
         }));
         let sched = sched_from_jobs(jobs);
@@ -546,6 +671,144 @@ mod tests {
             .map(|&(_, r)| r)
             .collect();
         assert_eq!(ends, vec![3, 2, 1, 0], "wakeups drain in key order");
+    }
+
+    #[test]
+    fn deferred_wake_runs_the_peer_only_after_the_waker_yields() {
+        // Rank 2 wakes rank 1 so that rank 1 resumes alone, with rank 0
+        // already published as parked. Rank 1 then wakes rank 0, keeps
+        // sending (more wakes) and computing, and parks. Rank 0 stays
+        // parked until then, and wakes rank 1 in turn.
+        let slot = sched_slot();
+        let log = new_log();
+        let (s0, s1, s2) = (slot.clone(), slot.clone(), slot.clone());
+        let (l0, l1, l2) = (log.clone(), log.clone(), log.clone());
+        let jobs: Vec<Job> = vec![
+            Box::new(move || {
+                l0.acquire().push("0 parks");
+                crate::cont::suspend_current(time_key(1.0));
+                l0.acquire().push("0 resumed");
+                installed(&s0).wake_from(body(0), 1);
+            }),
+            Box::new(move || {
+                l1.acquire().push("1 parks");
+                crate::cont::suspend_current(time_key(0.5));
+                let sched = installed(&s1);
+                l1.acquire().push("1 wakes 0");
+                sched.wake_from(body(1), 0);
+                assert!(matches!(slot_of(&sched, 0), Slot::Parked { .. }));
+                // A repeated wake, then one of a finished rank.
+                sched.wake_from(body(1), 0);
+                sched.wake_from(body(1), 2);
+                let spin: u64 = (0..10_000u64).map(std::hint::black_box).sum();
+                assert_eq!(spin, 49_995_000);
+                assert!(
+                    matches!(slot_of(&sched, 0), Slot::Parked { .. }),
+                    "a wake is applied only once its waker yields"
+                );
+                l1.acquire().push("1 computed");
+                crate::cont::suspend_current(time_key(2.0));
+                l1.acquire().push("1 resumed");
+            }),
+            Box::new(move || {
+                l2.acquire().push("2 wakes 1");
+                installed(&s2).wake_from(body(2), 1);
+            }),
+        ];
+        let sched = one_worker_sched(jobs);
+        *slot.acquire() = Some(Arc::clone(&sched));
+        sched.worker_loop();
+        assert_eq!(
+            *log.acquire(),
+            [
+                "0 parks",
+                "1 parks",
+                "2 wakes 1",
+                "1 wakes 0",
+                "1 computed",
+                "0 resumed",
+                "1 resumed"
+            ]
+        );
+    }
+
+    #[test]
+    fn wake_of_a_running_rank_latches_and_requeues_on_park() {
+        // The transition itself.
+        let sched = new_sched(vec![Box::new(|| {}), Box::new(|| {})]);
+        {
+            let mut st = sched.runq.acquire();
+            st.slots[1] = Slot::Running {
+                wake_pending: false,
+            };
+            assert!(!st.wake(1), "a running rank is not requeued");
+            assert!(matches!(st.slots[1], Slot::Running { wake_pending: true }));
+            st.slots[1] = Slot::Finished;
+            assert!(!st.wake(1));
+            assert!(matches!(st.slots[1], Slot::Finished));
+        }
+        // Driven: one batch claims both ranks. Rank 0 wakes rank 1 (still
+        // `Running`, not yet resumed) and finishes; rank 1 then parks and
+        // nobody else wakes it. The run completes only if the latched
+        // wake requeues that park.
+        let slot = sched_slot();
+        let log = new_log();
+        let (s0, s1) = (slot.clone(), slot.clone());
+        let (l0, l1) = (log.clone(), log.clone());
+        let jobs: Vec<Job> = vec![
+            Box::new(move || {
+                l0.acquire().push("0 wakes 1");
+                installed(&s0).wake_from(body(0), 1);
+            }),
+            Box::new(move || {
+                let sched = installed(&s1);
+                assert!(matches!(
+                    slot_of(&sched, 1),
+                    Slot::Running {
+                        wake_pending: false
+                    }
+                ));
+                l1.acquire().push("1 parks");
+                crate::cont::suspend_current(time_key(1.0));
+                l1.acquire().push("1 resumed");
+            }),
+        ];
+        let sched = one_worker_sched(jobs);
+        *slot.acquire() = Some(Arc::clone(&sched));
+        sched.worker_loop();
+        assert_eq!(*log.acquire(), ["0 wakes 1", "1 parks", "1 resumed"]);
+    }
+
+    #[test]
+    fn wake_from_a_finishing_body_reaches_a_parked_deadline_waiter() {
+        // The shape of `rank_done`: rank 1 sets its `done` flag and wakes
+        // the waiter as the last thing its body does. Rank 0 waits for
+        // that flag the way a deadline receive does: check, park, re-check.
+        let slot = sched_slot();
+        let done = Arc::new(AtomicUsize::new(0));
+        let parks = Arc::new(AtomicUsize::new(0));
+        let (d0, d1, p0, s1) = (done.clone(), done.clone(), parks.clone(), slot.clone());
+        let jobs: Vec<Job> = vec![
+            Box::new(move || {
+                while d0.load(Ordering::SeqCst) == 0 {
+                    p0.fetch_add(1, Ordering::SeqCst);
+                    crate::cont::suspend_current(time_key(5.0));
+                }
+            }),
+            Box::new(move || {
+                let sched = installed(&s1);
+                d1.store(1, Ordering::SeqCst);
+                sched.wake_from(body(1), 0);
+            }),
+        ];
+        let sched = one_worker_sched(jobs);
+        *slot.acquire() = Some(Arc::clone(&sched));
+        sched.worker_loop();
+        assert_eq!(parks.load(Ordering::SeqCst), 1);
+        assert!(matches!(slot_of(&sched, 0), Slot::Finished));
+        // SAFETY: the run is over; no body or worker touches the outbox.
+        let left = unsafe { (*sched.outbox[1].wakes.get()).capacity() };
+        assert_eq!(left, 0, "a finished rank's outbox is released");
     }
 
     #[test]

@@ -1,0 +1,98 @@
+//! The small-message hot path must not allocate on the events engine.
+//!
+//! `tests/alloc_free.rs` pinned to [`EngineMode::Events`], so the check
+//! holds whichever engine `HCS_ENGINE` selects for the rest of the
+//! suite. A counting global allocator wraps `System`; after a warm-up
+//! phase (mailbox ring buffers and wake outboxes reach their high-water
+//! capacity, both ranks have parked once and own a continuation) the
+//! steady-state ping-pong loop — send with inline payload, latency
+//! sampling, FIFO clamp, mailbox push/pop, deferred wake, park, resume,
+//! receive — must perform exactly zero heap allocations.
+//!
+//! A file of its own with a single test: the counter is process-global,
+//! and a sibling test allocating concurrently would produce false
+//! positives.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use hierarchical_clock_sync::prelude::*;
+use hierarchical_clock_sync::sim::EngineMode;
+
+struct CountingAlloc;
+
+static TRACKING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: pure pass-through to `System` plus two atomic counter ops
+// that never allocate or touch the arguments; every `GlobalAlloc`
+// contract obligation is delegated unchanged.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: caller upholds `GlobalAlloc::alloc`'s layout contract;
+    // forwarded verbatim to `System`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if TRACKING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.alloc(layout)
+    }
+
+    // SAFETY: caller guarantees `ptr` came from this allocator with
+    // this `layout`; forwarded verbatim to `System`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    // SAFETY: caller guarantees `ptr`/`layout` validity per the
+    // `GlobalAlloc::realloc` contract; forwarded verbatim to `System`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if TRACKING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+#[test]
+fn steady_state_small_messages_do_not_allocate_on_events() {
+    // Observability explicitly off: the disabled recorder
+    // (`Recorder::Off`) must stay on this zero-allocation path too.
+    let cluster = machines::testbed(2, 1)
+        .cluster(1)
+        .to_builder()
+        .observability(ObsSpec::off())
+        .engine(EngineMode::Events)
+        .build();
+    cluster.run(|ctx| {
+        let peer = 1 - ctx.rank();
+        let trip = |ctx: &mut RankCtx, i: u32| {
+            if ctx.rank() == 0 {
+                ctx.send_t(peer, i & 0x7, i as f64);
+                let _: f64 = ctx.recv_t(peer, i & 0x7);
+            } else {
+                let v: f64 = ctx.recv_t(peer, i & 0x7);
+                ctx.send_t(peer, i & 0x7, v + 1.0);
+            }
+        };
+        // Warm-up: grow mailbox rings to their high-water capacity.
+        for i in 0..512u32 {
+            trip(ctx, i);
+        }
+        // Only the event workers and these two bodies run here (the
+        // caller is itself a worker), so every counted allocation comes
+        // from this loop or the scheduler serving it.
+        TRACKING.store(true, Ordering::SeqCst);
+        for i in 0..2048u32 {
+            trip(ctx, i);
+        }
+        TRACKING.store(false, Ordering::SeqCst);
+    });
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        n, 0,
+        "steady-state small-message path on events performed {n} heap allocations"
+    );
+}
