@@ -1,7 +1,7 @@
 //! Raw throughput of the virtual-time engine — message rate of
-//! ping-pong chains and fan-in patterns, repeated-run rate through the
-//! persistent thread pool vs fresh-spawn, and cluster spawn cost. These
-//! numbers bound how large a simulated experiment can be.
+//! ping-pong chains and fan-in patterns, repeated-run rate, and bare
+//! run cost. These numbers bound how large a simulated experiment can
+//! be.
 //!
 //! `cargo bench -p hcs-experiments --bench engine`. The tracked JSON
 //! baseline is produced by the `bench_engine` binary (see
@@ -11,9 +11,9 @@ use hcs_bench::microbench::Runner;
 use hcs_sim::machines;
 
 /// One rank-0↔1 ping-pong run of `msgs` round trips at cluster size `p`.
-fn pingpong_run(p: usize, msgs: u32, seed: u64, pooled: bool) {
+fn pingpong_run(p: usize, msgs: u32, seed: u64) {
     let cluster = machines::testbed(p.div_ceil(4).max(1), p.min(4)).cluster(seed);
-    let body = move |ctx: &mut hcs_sim::RankCtx| {
+    cluster.run(move |ctx: &mut hcs_sim::RankCtx| {
         match ctx.rank() {
             0 => {
                 for i in 0..msgs {
@@ -30,12 +30,7 @@ fn pingpong_run(p: usize, msgs: u32, seed: u64, pooled: bool) {
             _ => {}
         }
         ctx.now()
-    };
-    if pooled {
-        cluster.run(body);
-    } else {
-        cluster.run_unpooled(body);
-    }
+    });
 }
 
 fn main() {
@@ -48,20 +43,14 @@ fn main() {
             &msgs.to_string(),
             msgs as f64 * 2.0,
             "msgs",
-            || pingpong_run(2, msgs, 1, true),
+            || pingpong_run(2, msgs, 1),
         );
     }
 
-    // Repeated-run rate at the ISSUE's tracked cluster sizes: the pool
-    // keeps rank threads parked between runs, so runs/sec is dominated
-    // by simulation work, not thread spawn/teardown.
+    // Repeated-run rate at the tracked cluster sizes.
     for p in [32usize, 256, 2048] {
-        let case = format!("p{p}");
-        r.case_throughput("engine_runs_pooled", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, true)
-        });
-        r.case_throughput("engine_runs_fresh_spawn", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, false)
+        r.case_throughput("engine_runs", &format!("p{p}"), 1.0, "runs", || {
+            pingpong_run(p, 100, 2)
         });
     }
 
@@ -86,7 +75,8 @@ fn main() {
         );
     }
 
-    // Bare run cost (no communication): pool checkout + latch overhead.
+    // Bare run cost (no communication): scheduler setup and worker
+    // start-up.
     for ranks in [64usize, 512] {
         r.case("engine_spawn_teardown", &ranks.to_string(), || {
             machines::testbed(ranks / 8, 8)

@@ -1,11 +1,9 @@
 //! Tracked perf baseline of the virtual-time engine.
 //!
 //! Runs the engine throughput workloads (message rate, repeated-run
-//! rate through the persistent thread pool vs fresh-spawn, fan-in,
-//! fan-out; the message-rate groups on both engines, the events rows
-//! suffixed `_events`) and writes the results to `BENCH_engine.json`
-//! so the perf trajectory of the simulator is recorded in-repo, PR
-//! over PR.
+//! rate from p = 32 to p = 131072, sweep throughput, fan-in, fan-out)
+//! and writes the results to `BENCH_engine.json` so the perf
+//! trajectory of the simulator is recorded in-repo, PR over PR.
 //!
 //! ```text
 //! cargo run --release -p hcs-experiments --bin bench_engine \
@@ -22,7 +20,7 @@
 use hcs_bench::microbench::Runner;
 use hcs_bench::sweep::{run_seed, SweepExecutor};
 use hcs_experiments::Args;
-use hcs_sim::{machines, ClusterPool, EngineMode, RankCtx};
+use hcs_sim::{machines, RankCtx};
 
 /// Repetitions per sweep in the `sweep_runs` groups.
 const SWEEP_RUNS: usize = 8;
@@ -33,14 +31,10 @@ const SWEEP_RUNS: usize = 8;
 const FAN_ROUNDS: usize = 32;
 
 /// One ping-pong run of `msgs` round trips between ranks 0 and 1 on a
-/// `p`-rank cluster (the ISSUE's tracked repeated-run workload).
-fn pingpong_run(p: usize, msgs: u32, seed: u64, pooled: bool, engine: EngineMode) {
-    let cluster = machines::testbed(p.div_ceil(4).max(1), p.min(4))
-        .cluster(seed)
-        .to_builder()
-        .engine(engine)
-        .build();
-    let body = move |ctx: &mut RankCtx| {
+/// `p`-rank cluster (the tracked repeated-run workload).
+fn pingpong_run(p: usize, msgs: u32, seed: u64) {
+    let cluster = machines::testbed(p.div_ceil(4).max(1), p.min(4)).cluster(seed);
+    cluster.run(move |ctx: &mut RankCtx| {
         match ctx.rank() {
             0 => {
                 for i in 0..msgs {
@@ -57,26 +51,13 @@ fn pingpong_run(p: usize, msgs: u32, seed: u64, pooled: bool, engine: EngineMode
             _ => {}
         }
         ctx.now()
-    };
-    if pooled {
-        cluster.run(body);
-    } else {
-        cluster.run_unpooled(body);
-    }
+    });
 }
-
-/// The engines of the message-rate groups, with their case suffixes.
-const ENGINES: [(&str, EngineMode); 2] =
-    [("", EngineMode::Threads), ("_events", EngineMode::Events)];
 
 /// One fan run on `ranks` ranks: every other rank streams FAN_ROUNDS
 /// messages at rank 0 (`fan_in`), or rank 0 streams FAN_ROUNDS to each.
-fn fan_run(ranks: usize, fan_in: bool, engine: EngineMode) {
-    let cluster = machines::testbed(ranks / 4, 4)
-        .cluster(2)
-        .to_builder()
-        .engine(engine)
-        .build();
+fn fan_run(ranks: usize, fan_in: bool) {
+    let cluster = machines::testbed(ranks / 4, 4).cluster(2);
     cluster.run(|ctx| match (ctx.rank(), fan_in) {
         (0, true) => {
             for src in 1..ctx.size() {
@@ -117,51 +98,28 @@ fn main() {
 
     // Message throughput (2 messages per round trip).
     for msgs in [1_000u32, 10_000] {
-        for (suffix, engine) in ENGINES {
-            r.case_throughput(
-                "engine_pingpong",
-                &format!("{msgs}{suffix}"),
-                msgs as f64 * 2.0,
-                "msgs",
-                || pingpong_run(2, msgs, 1, true, engine),
-            );
-        }
-    }
-
-    // Repeated-run rate: pooled vs fresh-spawn at the tracked sizes,
-    // plus the event-driven executor at the same sizes (`p*_events`).
-    // The events engine has no pooled/fresh distinction — one row.
-    for p in [32usize, 256, 2048] {
-        let case = format!("p{p}");
-        r.case_throughput("engine_runs_pooled", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, true, EngineMode::Threads)
-        });
         r.case_throughput(
-            "engine_runs_pooled",
-            &format!("{case}_events"),
-            1.0,
-            "runs",
-            || pingpong_run(p, 100, 2, true, EngineMode::Events),
+            "engine_pingpong",
+            &msgs.to_string(),
+            msgs as f64 * 2.0,
+            "msgs",
+            || pingpong_run(2, msgs, 1),
         );
-        r.case_throughput("engine_runs_fresh_spawn", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, false, EngineMode::Threads)
-        });
     }
 
-    // The scale wall: repeated-run rate at rank counts a thread-per-rank
-    // engine cannot schedule on one host (16Ki and 128Ki OS threads).
-    // Events engine only — rank bodies are continuations multiplexed on
-    // a few workers, so p is bounded by memory, not by the scheduler.
-    for p in [16_384usize, 131_072] {
+    // Repeated-run rate, from bench-sized clusters up to the scale
+    // wall: rank bodies are continuations multiplexed on a few
+    // workers, so p is bounded by memory, not by the OS scheduler.
+    for p in [32usize, 256, 2048, 16_384, 131_072] {
         r.case_throughput("engine_runs", &format!("p{p}"), 1.0, "runs", || {
-            pingpong_run(p, 100, 2, true, EngineMode::Events)
+            pingpong_run(p, 100, 2)
         });
     }
 
     // Sweep throughput: SWEEP_RUNS independent repetitions through the
     // SweepExecutor, sequential vs concurrent. On a multi-core host the
     // jobs=4 rows should show the run-level speedup; jobs=1 tracks the
-    // executor's sequential overhead against the plain pooled rate.
+    // executor's sequential overhead against the plain run rate.
     for p in [32usize, 256] {
         for jobs in [1usize, 4] {
             let exec = SweepExecutor::new(jobs);
@@ -171,9 +129,7 @@ fn main() {
                 SWEEP_RUNS as f64,
                 "runs",
                 || {
-                    exec.run(SWEEP_RUNS, p, |i| {
-                        pingpong_run(p, 100, run_seed(3, i as u64), true, EngineMode::Threads)
-                    });
+                    exec.run(SWEEP_RUNS, |i| pingpong_run(p, 100, run_seed(3, i as u64)));
                 },
             );
         }
@@ -188,29 +144,19 @@ fn main() {
     //
     // Fan-out message rate: rank 0 streams FAN_ROUNDS messages to every
     // other rank, destination-major so consecutive sends coalesce into
-    // staged batches. On the thread engine rank 0 runs first
-    // (caller-runs dispatch), so the receivers find their bursts
-    // already delivered — the row isolates sender-side staging plus
+    // staged batches — the row isolates sender-side staging plus
     // receiver-side batch draining.
     for (group, fan_in) in [("engine_fan_in", true), ("engine_fan_out", false)] {
         for ranks in [16usize, 64, 256, 1024] {
-            for (suffix, engine) in ENGINES {
-                r.case_throughput(
-                    group,
-                    &format!("{ranks}{suffix}"),
-                    ((ranks - 1) * FAN_ROUNDS) as f64,
-                    "msgs",
-                    || fan_run(ranks, fan_in, engine),
-                );
-            }
+            r.case_throughput(
+                group,
+                &ranks.to_string(),
+                ((ranks - 1) * FAN_ROUNDS) as f64,
+                "msgs",
+                || fan_run(ranks, fan_in),
+            );
         }
     }
-
-    println!(
-        "\npool: {} threads spawned over the whole session, {} parked",
-        ClusterPool::global().threads_spawned(),
-        ClusterPool::global().idle_workers()
-    );
 
     std::fs::write(&out_path, r.to_json("engine")).expect("write bench baseline");
     println!("wrote {out_path}");

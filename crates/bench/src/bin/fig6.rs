@@ -3,10 +3,10 @@
 //! 10 % sample of the clients).
 //!
 //! The default shape is 128 × 16 = 2048 ranks so the sweep completes in
-//! minutes; `--full` selects the paper's 1024 × 16. Run the full shape on
-//! the event-driven engine (`HCS_ENGINE=events`), where the ranks are
-//! continuations on a few worker threads: `--full --runs 1` takes about
-//! 192 s on a 2-core host (release build).
+//! minutes; `--full` selects the paper's 1024 × 16. The ranks are
+//! continuations on a few worker threads, so the full shape needs no
+//! per-rank OS thread: `--full --runs 1` takes about 192 s on a 2-core
+//! host (release build).
 //!
 //! ```text
 //! cargo run --release -p hcs-experiments --bin fig6 \

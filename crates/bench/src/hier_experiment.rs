@@ -76,8 +76,7 @@ pub fn run_hier_experiment(
     seed0: u64,
     exec: &SweepExecutor,
 ) -> Vec<HierRow> {
-    let p = machine.topology.total_cores();
-    exec.run(configs.len() * runs, p, |i| {
+    exec.run(configs.len() * runs, |i| {
         let (label, make) = &configs[i / runs];
         let run = i % runs;
         let cluster = machine.cluster(run_seed(seed0, run as u64));

@@ -1,7 +1,7 @@
 //! The sweep executor must be invisible in the artifacts: the rows (and
 //! the CSV bytes derived from them) of a hierarchical-sync experiment
-//! are identical whatever `jobs` setting executed it, through both the
-//! pooled and the fresh-spawn engine paths.
+//! are identical whatever `jobs` setting executed it, and identical to
+//! a direct cluster run of the same point.
 
 use hcs_bench::sweep::SweepExecutor;
 use hcs_clock::Span;
@@ -51,11 +51,10 @@ fn rows_and_csv_are_byte_identical_across_jobs_settings() {
 }
 
 #[test]
-fn concurrent_pooled_rows_match_fresh_spawn_rows() {
-    // The executor leases pool workers; a fresh-spawn cluster run of the
-    // same (config, repetition) point must produce the same row. This
-    // pins that neither pooling nor run-level concurrency leaks into
-    // virtual time.
+fn concurrent_rows_match_a_direct_cluster_run() {
+    // A direct cluster run of the same (config, repetition) point,
+    // outside the executor, must produce the same row. This pins that
+    // run-level concurrency never leaks into virtual time.
     use hcs_clock::{LocalClock, TimeSource};
     use hcs_core::prelude::*;
     use hcs_mpi::Comm;
@@ -64,11 +63,11 @@ fn concurrent_pooled_rows_match_fresh_spawn_rows() {
     let configs = fig4_configs(12, 6, 4);
     let concurrent = rows_with_jobs(2);
 
-    // Recompute row (config 1, run 1) unpooled, straight from the
-    // cluster, using the same per-run seed stream.
+    // Recompute row (config 1, run 1) straight from the cluster, using
+    // the same per-run seed stream.
     let (label, make) = &configs[1];
     let cluster = machine.cluster(hcs_bench::sweep::run_seed(SEED, 1));
-    let out = cluster.run_unpooled(|ctx| {
+    let out = cluster.run(|ctx| {
         let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
         let mut comm = Comm::world(ctx);
         let mut alg = make();
@@ -85,18 +84,18 @@ fn concurrent_pooled_rows_match_fresh_spawn_rows() {
     // so (config 1, run 1) lands at index 3.
     let row = &concurrent[3];
     assert_eq!(&row.label, label);
-    assert_eq!(row.duration, duration, "pooled sweep vs fresh spawn");
+    assert_eq!(row.duration, duration, "concurrent sweep vs direct run");
     assert_eq!(row.max_at0, report.max_abs_at_sync());
     assert_eq!(row.max_at_wait, report.max_abs_after_wait());
 }
 
 #[test]
 fn concurrent_jobs_are_not_slower_than_sequential() {
-    // The PR-4 sweep executor made jobs=4 *slower* than jobs=1 at
-    // p=256 (shared pool state thrashed under the 4×256-thread
-    // footprint). This pins the fix: with sharded dispatch, lazy
-    // workers and the host-core clamp, a concurrent sweep must never
-    // lose to the sequential loop by more than measurement noise. The
+    // An early sweep executor made jobs=4 *slower* than jobs=1 at
+    // p=256 (shared rank-thread state thrashed under the 4×256-thread
+    // footprint). This pins that a concurrent sweep, with the host-core
+    // clamp, never loses to the sequential loop by more than
+    // measurement noise. The
     // tolerance is deliberately generous (1.5×, best-of-interleaved
     // trials) so a loaded CI host cannot flake it; a real regression of
     // the old kind was a 2×+ slowdown.
@@ -127,9 +126,9 @@ fn concurrent_jobs_are_not_slower_than_sequential() {
         let e1 = SweepExecutor::new(1);
         let e4 = SweepExecutor::new(4);
         let sweep = |exec: &SweepExecutor| {
-            exec.run(8, p, |i| pingpong_run(p, 50, run_seed(7, i as u64)));
+            exec.run(8, |i| pingpong_run(p, 50, run_seed(7, i as u64)));
         };
-        // Warm both paths (pool spawn-up, page faults).
+        // Warm both paths (allocator and stack pools, page faults).
         sweep(&e1);
         sweep(&e4);
         let mut best1 = f64::INFINITY;

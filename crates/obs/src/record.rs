@@ -131,8 +131,8 @@ impl Event {
 }
 
 /// One rank's bounded event buffer plus its interned name table and
-/// span stack. Thread-confined: the owning rank thread appends without
-/// any synchronization.
+/// span stack. Rank-confined: only the owning rank's body appends, so
+/// it needs no synchronization.
 #[derive(Debug, Clone)]
 pub struct RankRecorder {
     rank: u32,

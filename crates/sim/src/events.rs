@@ -1,32 +1,32 @@
-//! The event-driven engine core: a virtual-time run queue of rank
-//! continuations executed by a small worker pool.
+//! The engine core: a virtual-time run queue of rank continuations
+//! executed by a small set of worker threads.
 //!
-//! In [`crate::EngineMode::Events`] a rank is a schedulable
-//! continuation (`cont.rs`), not an OS thread. The scheduler here keeps
-//! one slot per rank and a ready queue ordered by `(virtual-time key,
-//! rank)`; a blocked receive suspends the continuation (the slot moves
-//! to `Parked`), and a wake from the sender moves it back to `Ready`
-//! (see "The wake protocol" below). Workers pop the earliest-keyed
-//! ready rank, resume it until it parks or finishes, and publish the
-//! transition under the scheduler lock. A *fresh* rank is cheaper
-//! still: its body runs inline on the claiming worker's hot fiber and
-//! only pays for a full [`Continuation`] (core box, dedicated stack) if
-//! it actually parks — so a rank that never blocks costs two stack
-//! switches and zero allocations.
+//! A rank is a schedulable continuation (`cont.rs`), not an OS thread.
+//! The scheduler here keeps one slot per rank and a ready queue ordered
+//! by `(virtual-time key, rank)`; a blocked receive suspends the
+//! continuation (the slot moves to `Parked`), and a wake from the
+//! sender moves it back to `Ready` (see "The wake protocol" below).
+//! Workers pop the earliest-keyed ready rank, resume it until it parks
+//! or finishes, and publish the transition under the scheduler lock. A
+//! *fresh* rank is cheaper still: its body runs inline on the claiming
+//! worker's hot fiber and only pays for a full [`Continuation`] (core
+//! box, dedicated stack) if it actually parks — so a rank that never
+//! blocks costs two stack switches and zero allocations.
 //!
 //! # Why this preserves determinism
 //!
-//! The thread engine's determinism argument (DESIGN.md §2) never relied
-//! on OS scheduling: arrival times are fixed at send time from the
-//! sender's seeded RNG streams, and a receiver only proceeds once the
-//! specific `(src, tag)` message it waits for is in hand. This executor
-//! changes *when on the host* a rank body runs, which is exactly the
-//! freedom the argument already grants — so timelines, CSV rows and
-//! traces are byte-identical across both engines and any worker count
-//! (`tests/engine_equivalence.rs` enforces this differentially). The
-//! virtual-time ordering of the ready queue is a host-side *policy*
-//! (it keeps memory low by letting non-blocked ranks drain before
-//! long-running conversations continue), not a correctness input.
+//! The determinism argument (DESIGN.md §2) never relies on host
+//! scheduling: arrival times are fixed at send time from the sender's
+//! seeded RNG streams, and a receiver only proceeds once the specific
+//! `(src, tag)` message it waits for is in hand. This executor decides
+//! *when on the host* a rank body runs, which is exactly the freedom
+//! the argument grants — so timelines, CSV rows and traces are
+//! byte-identical across worker counts and continuation backends, and
+//! identical to the corpus recorded from the retired thread-per-rank
+//! engine (`tests/engine_equivalence.rs`). The virtual-time ordering of
+//! the ready queue is a host-side *policy* (it keeps memory low by
+//! letting non-blocked ranks drain before long-running conversations
+//! continue), not a correctness input.
 //!
 //! # The wake protocol (no lost wakeups, no per-message lock)
 //!
@@ -419,8 +419,8 @@ impl EventSched {
                 }
                 // NOTE: if every rank is parked and none can be woken
                 // (a receive cycle with deadlock detection disabled),
-                // this waits forever — exactly like the thread engine's
-                // parked mailbox condvars. Parity is deliberate.
+                // this waits forever: the documented behavior of
+                // `ClusterBuilder::deadlock_detection(false)`.
                 st.idle += 1;
                 st = st.wait(&self.cv);
                 st.idle -= 1;
@@ -515,27 +515,27 @@ pub(crate) fn backend_from_env() -> Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::Job;
+    use crate::cont::Entry;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Adapts a per-rank job list to the shared-body interface: each
     /// rank takes and runs its own job exactly once.
-    fn sched_from_jobs(jobs: Vec<Job>) -> Arc<EventSched> {
+    fn sched_from_jobs(jobs: Vec<Entry>) -> Arc<EventSched> {
         Arc::new(new_sched(jobs))
     }
 
     /// Like [`sched_from_jobs`], but sized for one worker, so a claim
     /// takes every ready rank and [`EventSched::worker_loop`] on the
     /// test thread runs them in a fixed order.
-    fn one_worker_sched(jobs: Vec<Job>) -> Arc<EventSched> {
+    fn one_worker_sched(jobs: Vec<Entry>) -> Arc<EventSched> {
         let mut sched = new_sched(jobs);
         sched.workers = 1;
         Arc::new(sched)
     }
 
-    fn new_sched(jobs: Vec<Job>) -> EventSched {
+    fn new_sched(jobs: Vec<Entry>) -> EventSched {
         let n = jobs.len();
-        let cells: Vec<OrderedMutex<Option<Job>>> = jobs
+        let cells: Vec<OrderedMutex<Option<Entry>>> = jobs
             .into_iter()
             .map(|j| OrderedMutex::new("events.test-jobs", 92, Some(j)))
             .collect();
@@ -577,17 +577,17 @@ mod tests {
         Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()))
     }
 
-    fn run_jobs(jobs: Vec<Job>) {
+    fn run_jobs(jobs: Vec<Entry>) {
         drive(&sched_from_jobs(jobs));
     }
 
     #[test]
     fn runs_every_job_exactly_once() {
         let hits = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<Job> = (0..100)
+        let jobs: Vec<Entry> = (0..100)
             .map(|_| {
                 let hits = Arc::clone(&hits);
-                let job: Job = Box::new(move || {
+                let job: Entry = Box::new(move || {
                     hits.fetch_add(1, Ordering::SeqCst);
                 });
                 job
@@ -612,7 +612,7 @@ mod tests {
         let s0 = Arc::clone(&sched0);
         let h0 = Arc::clone(&hits);
         let h1 = Arc::clone(&hits);
-        let jobs: Vec<Job> = vec![
+        let jobs: Vec<Entry> = vec![
             Box::new(move || {
                 crate::cont::suspend_current(time_key(1.0));
                 h0.fetch_add(1, Ordering::SeqCst);
@@ -637,10 +637,10 @@ mod tests {
         let order = Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()));
         let slot = sched_slot();
         let n = 4usize;
-        let mut jobs: Vec<Job> = (0..n)
+        let mut jobs: Vec<Entry> = (0..n)
             .map(|r| {
                 let order = Arc::clone(&order);
-                let job: Job = Box::new(move || {
+                let job: Entry = Box::new(move || {
                     order.acquire().push(("start", r));
                     crate::cont::suspend_current(time_key((n - r) as f64));
                     order.acquire().push(("end", r));
@@ -683,7 +683,7 @@ mod tests {
         let log = new_log();
         let (s0, s1, s2) = (slot.clone(), slot.clone(), slot.clone());
         let (l0, l1, l2) = (log.clone(), log.clone(), log.clone());
-        let jobs: Vec<Job> = vec![
+        let jobs: Vec<Entry> = vec![
             Box::new(move || {
                 l0.acquire().push("0 parks");
                 crate::cont::suspend_current(time_key(1.0));
@@ -755,7 +755,7 @@ mod tests {
         let log = new_log();
         let (s0, s1) = (slot.clone(), slot.clone());
         let (l0, l1) = (log.clone(), log.clone());
-        let jobs: Vec<Job> = vec![
+        let jobs: Vec<Entry> = vec![
             Box::new(move || {
                 l0.acquire().push("0 wakes 1");
                 installed(&s0).wake_from(body(0), 1);
@@ -788,7 +788,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         let parks = Arc::new(AtomicUsize::new(0));
         let (d0, d1, p0, s1) = (done.clone(), done.clone(), parks.clone(), slot.clone());
-        let jobs: Vec<Job> = vec![
+        let jobs: Vec<Entry> = vec![
             Box::new(move || {
                 while d0.load(Ordering::SeqCst) == 0 {
                     p0.fetch_add(1, Ordering::SeqCst);
@@ -813,7 +813,7 @@ mod tests {
 
     #[test]
     fn body_panic_is_rethrown_by_drive() {
-        let jobs: Vec<Job> = vec![Box::new(|| panic!("executor bug trap"))];
+        let jobs: Vec<Entry> = vec![Box::new(|| panic!("executor bug trap"))];
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(jobs)))
             .expect_err("must rethrow");
         let msg = err

@@ -24,12 +24,11 @@
 //!   the timeline bit-unchanged — fault draws are consumed from the
 //!   dedicated streams only,
 //! - the same `(seed, plan)` replays the same faulted timeline on any
-//!   host, pooled or unpooled,
-//! - the interpreter is engine-agnostic: it runs at the delivery
-//!   boundary, below the rank-scheduling layer, so
-//!   `EngineMode::Threads` and `EngineMode::Events` produce
-//!   byte-identical faulted timelines (pinned by
-//!   `tests/engine_equivalence.rs`).
+//!   host and on every re-run,
+//! - the interpreter runs at the delivery boundary, below the
+//!   rank-scheduling layer, so host scheduling never reaches a fault
+//!   draw: faulted timelines match the corpus in
+//!   `tests/engine_equivalence.rs` on both continuation backends.
 //!
 //! ## Decision order
 //!

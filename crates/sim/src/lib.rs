@@ -14,16 +14,14 @@
 //!
 //! ## Execution model
 //!
-//! Every simulated MPI rank is an independent execution — an OS thread
-//! in [`engine::EngineMode::Threads`], a stackful continuation on a
-//! virtual-time event queue in [`engine::EngineMode::Events`] — and
-//! carries its own
-//! *virtual true time* (`RankCtx::now`). Local computation advances that
-//! time explicitly ([`RankCtx::compute`]). A send stamps the message with
-//! an arrival time computed from the sender's current time plus a modeled
-//! latency sample; a receive blocks (on a real channel) until a matching
-//! message exists and then fast-forwards the receiver to
-//! `max(local_now, arrival)`.
+//! Every simulated MPI rank is an independent execution — a stackful
+//! continuation on a virtual-time event queue, driven by a small set of
+//! worker threads — and carries its own *virtual true time*
+//! (`RankCtx::now`). Local computation advances that time explicitly
+//! ([`RankCtx::compute`]). A send stamps the message with an arrival
+//! time computed from the sender's current time plus a modeled latency
+//! sample; a receive parks the rank until a matching message exists and
+//! then fast-forwards the receiver to `max(local_now, arrival)`.
 //!
 //! Because every blocking operation is *directed* (the receiver names the
 //! sender) and all randomness is drawn from per-rank deterministic
@@ -40,8 +38,10 @@
 //! - [`clockspec`] — numeric parameters of the per-node oscillators
 //!   (interpreted by the `hcs-clock` crate),
 //! - [`machines`] — the three machine profiles of the paper's Table I,
-//! - [`engine`] — the rank threads, mailboxes and the [`engine::Cluster`]
-//!   entry point (built via [`engine::ClusterBuilder`]),
+//! - [`engine`] — the rank contexts, mailboxes and the
+//!   [`engine::Cluster`] entry point (built via
+//!   [`engine::ClusterBuilder`]); its ranks run on the event executor
+//!   (the private `events` and `cont` modules),
 //! - [`fault`] — seeded fault injection: a pure-data [`FaultPlan`]
 //!   (drops, duplication, reordering, latency scaling, partitions, rank
 //!   crashes) interpreted deterministically at the delivery boundary;
@@ -70,7 +70,6 @@ pub mod machines;
 pub mod msg;
 pub mod net;
 pub mod noise;
-pub mod pool;
 #[cfg(debug_assertions)]
 pub mod protomon;
 pub mod rngx;
@@ -83,15 +82,13 @@ pub mod wire;
 
 pub use clockspec::ClockSpec;
 pub use engine::{
-    Cluster, ClusterBuilder, EngineMode, EnvSpec, RankCtx, RankOutcome, RecvTimeout, RunOutcome,
-    TimeoutReason,
+    Cluster, ClusterBuilder, EnvSpec, RankCtx, RankOutcome, RecvTimeout, RunOutcome, TimeoutReason,
 };
 pub use fault::{FaultPlan, LinkSel, RankSel, Window};
 pub use lockutil::{lock_ignore_poison, OrderedGuard, OrderedMutex};
 pub use machines::MachineSpec;
 pub use net::{Jitter, LevelLatency, NetworkModel};
 pub use noise::NoiseSpec;
-pub use pool::{ClusterPool, PoolReservation};
 pub use timebase::{secs, SimTime, Span};
 pub use topology::{Level, Topology};
 pub use wire::Wire;

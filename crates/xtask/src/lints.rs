@@ -289,7 +289,7 @@ mod tests {
             .iter()
             .all(|(l, _)| l != "determinism/host-parallelism"));
         // Any other sim module stays banned.
-        assert!(lints_of("crates/sim/src/pool.rs", src)
+        assert!(lints_of("crates/sim/src/engine.rs", src)
             .iter()
             .any(|(l, _)| l == "determinism/host-parallelism"));
         // Mentions in comments and tests never fire.
@@ -306,7 +306,7 @@ mod tests {
         for path in [
             "crates/sim/src/engine.rs",
             "crates/sim/src/msg.rs",
-            "crates/sim/src/pool.rs",
+            "crates/sim/src/events.rs",
             "crates/sim/src/net.rs",
             "crates/sim/src/fault.rs",
         ] {

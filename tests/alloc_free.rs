@@ -1,9 +1,10 @@
 //! The small-message hot path must not allocate.
 //!
 //! A counting global allocator wraps `System`; after a warm-up phase
-//! (mailbox ring buffers reach their high-water capacity, the pool
-//! spawns its workers) the steady-state ping-pong loop — send with
-//! inline payload, latency sampling, FIFO clamp, mailbox push/pop,
+//! (mailbox ring buffers and wake outboxes reach their high-water
+//! capacity, both ranks have parked once and own a continuation) the
+//! steady-state ping-pong loop — send with inline payload, latency
+//! sampling, FIFO clamp, mailbox push/pop, deferred wake, park, resume,
 //! receive — must perform exactly zero heap allocations.
 //!
 //! This file intentionally contains a single test: the counter is
@@ -76,8 +77,9 @@ fn steady_state_small_messages_do_not_allocate() {
         for i in 0..512u32 {
             trip(ctx, i);
         }
-        // Only rank threads are runnable here (the caller is parked in
-        // the latch), so every counted allocation comes from this loop.
+        // Only the event workers and these two bodies run here (the
+        // caller is itself a worker), so every counted allocation comes
+        // from this loop or the scheduler serving it.
         TRACKING.store(true, Ordering::SeqCst);
         for i in 0..2048u32 {
             trip(ctx, i);

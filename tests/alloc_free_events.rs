@@ -1,13 +1,15 @@
-//! The small-message hot path must not allocate on the events engine.
+//! The small-message hot path must not allocate on the events engine,
+//! on the intra-node hop.
 //!
-//! `tests/alloc_free.rs` pinned to [`EngineMode::Events`], so the check
-//! holds whichever engine `HCS_ENGINE` selects for the rest of the
-//! suite. A counting global allocator wraps `System`; after a warm-up
-//! phase (mailbox ring buffers and wake outboxes reach their high-water
-//! capacity, both ranks have parked once and own a continuation) the
-//! steady-state ping-pong loop — send with inline payload, latency
-//! sampling, FIFO clamp, mailbox push/pop, deferred wake, park, resume,
-//! receive — must perform exactly zero heap allocations.
+//! The companion of `tests/alloc_free.rs`, which places its two ranks on
+//! different nodes; here both ranks share one node (and socket), so every
+//! message is priced by the same-socket latency level instead. A counting
+//! global allocator wraps `System`; after a warm-up phase (mailbox ring
+//! buffers and wake outboxes reach their high-water capacity, both ranks
+//! have parked once and own a continuation) the steady-state ping-pong
+//! loop — send with inline payload, latency sampling, FIFO clamp, mailbox
+//! push/pop, deferred wake, park, resume, receive — must perform exactly
+//! zero heap allocations.
 //!
 //! A file of its own with a single test: the counter is process-global,
 //! and a sibling test allocating concurrently would produce false
@@ -17,7 +19,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use hierarchical_clock_sync::prelude::*;
-use hierarchical_clock_sync::sim::EngineMode;
 
 struct CountingAlloc;
 
@@ -60,11 +61,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn steady_state_small_messages_do_not_allocate_on_events() {
     // Observability explicitly off: the disabled recorder
     // (`Recorder::Off`) must stay on this zero-allocation path too.
-    let cluster = machines::testbed(2, 1)
+    let cluster = machines::testbed(1, 2)
         .cluster(1)
         .to_builder()
         .observability(ObsSpec::off())
-        .engine(EngineMode::Events)
         .build();
     cluster.run(|ctx| {
         let peer = 1 - ctx.rank();
@@ -93,6 +93,6 @@ fn steady_state_small_messages_do_not_allocate_on_events() {
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         n, 0,
-        "steady-state small-message path on events performed {n} heap allocations"
+        "steady-state intra-node small-message path on events performed {n} heap allocations"
     );
 }

@@ -8,7 +8,7 @@
 //!    every run here must still reproduce them exactly.
 //! 2. **Failure replay** — the same `(seed, FaultPlan)` yields
 //!    byte-identical outcomes, timelines and chrome traces across
-//!    pooled, unpooled and repeated runs.
+//!    repeated runs and rebuilt clusters.
 //! 3. **Degradation semantics** — each fault kind resolves receives
 //!    the way the `TimeoutReason` contract says it does, with no hangs.
 
@@ -226,16 +226,16 @@ fn chaos_cluster() -> Cluster {
         .build()
 }
 
-/// Same (seed, FaultPlan) => byte-identical outcomes across pooled,
-/// unpooled and repeated runs, and byte-identical chrome traces.
+/// Same (seed, FaultPlan) => byte-identical outcomes across repeated
+/// runs and a rebuilt cluster, and byte-identical chrome traces.
 #[test]
 fn chaotic_replay_is_byte_identical() {
     let cluster = chaos_cluster();
-    let pooled = cluster.run_outcome(chaos_body);
+    let first = cluster.run_outcome(chaos_body);
     let again = cluster.run_outcome(chaos_body);
-    let unpooled = cluster.run_outcome_unpooled(chaos_body);
-    assert_eq!(pooled, again, "pooled rerun diverged under faults");
-    assert_eq!(pooled, unpooled, "unpooled run diverged under faults");
+    let rebuilt = chaos_cluster().run_outcome(chaos_body);
+    assert_eq!(first, again, "rerun diverged under faults");
+    assert_eq!(first, rebuilt, "rebuilt cluster diverged under faults");
 
     let observed = chaos_cluster()
         .to_builder()
@@ -244,7 +244,7 @@ fn chaotic_replay_is_byte_identical() {
     let (o1, log1) = observed.run_outcome_observed(chaos_body);
     let (o2, log2) = observed.run_outcome_observed(chaos_body);
     assert_eq!(o1, o2);
-    assert_eq!(pooled, o1, "observability changed fault outcomes");
+    assert_eq!(first, o1, "observability changed fault outcomes");
     assert_eq!(
         chrome_trace(&log1),
         chrome_trace(&log2),

@@ -1,6 +1,6 @@
 //! End-to-end observability: a fully-instrumented HCA3 + Round-Time run
-//! must produce the same Chrome trace bytes pooled, re-run, and
-//! fresh-spawned (the recorder is part of the deterministic surface),
+//! must produce the same Chrome trace bytes on every re-run and from a
+//! rebuilt cluster (the recorder is part of the deterministic surface),
 //! and the `trace_event` JSON schema is pinned by a golden file.
 
 use hierarchical_clock_sync::bench::prelude::*;
@@ -38,24 +38,27 @@ fn workload(ctx: &mut RankCtx) {
 
 #[test]
 fn chrome_trace_is_byte_identical_pooled_rerun_and_fresh() {
+    // The name predates the removal of the rank-thread pool: "pooled"
+    // is now the first run and a re-run of one cluster, "fresh" a run
+    // of a rebuilt cluster.
     let cluster = observed_cluster();
-    let (_, pooled) = cluster.run_observed(workload);
+    let (_, first) = cluster.run_observed(workload);
     let (_, again) = cluster.run_observed(workload);
-    let (_, fresh) = cluster.run_unpooled_observed(workload);
+    let (_, rebuilt) = observed_cluster().run_observed(workload);
 
-    let reference = chrome_trace(&pooled);
-    assert!(!pooled.is_empty(), "observed run recorded nothing");
+    let reference = chrome_trace(&first);
+    assert!(!first.is_empty(), "observed run recorded nothing");
     assert_eq!(
         reference,
         chrome_trace(&again),
-        "pooled re-run produced different trace bytes"
+        "re-run produced different trace bytes"
     );
     assert_eq!(
         reference,
-        chrome_trace(&fresh),
-        "fresh-spawn run produced different trace bytes"
+        chrome_trace(&rebuilt),
+        "rebuilt cluster produced different trace bytes"
     );
-    assert_eq!(summary_json(&pooled), summary_json(&fresh));
+    assert_eq!(summary_json(&first), summary_json(&rebuilt));
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Scale smoke tests. The default-run sizes are kept moderate; the
-//! `#[ignore]`d test runs H2HCA at 8192 Titan ranks. Run it explicitly
-//! on the events engine, where ranks are continuations multiplexed on a
-//! few worker threads instead of one OS thread each:
+//! `#[ignore]`d test runs H2HCA at 8192 Titan ranks (continuations
+//! multiplexed on a few worker threads). Run it explicitly in release
+//! mode:
 //!
 //! ```text
-//! HCS_ENGINE=events cargo test --release --test scale_smoke -- --ignored
+//! cargo test --release --test scale_smoke -- --ignored
 //! ```
 //!
 //! The paper's full 16 384 ranks run the same way, through
-//! `HCS_ENGINE=events fig6 --full`.
+//! `fig6 --full`.
 
 use hierarchical_clock_sync::mpi::ReduceOp;
 use hierarchical_clock_sync::prelude::*;
@@ -38,7 +38,7 @@ fn two_thousand_ranks_sync_and_reduce() {
 }
 
 #[test]
-#[ignore = "8192 ranks; run explicitly in release mode with HCS_ENGINE=events and --ignored"]
+#[ignore = "8192 ranks; run explicitly in release mode with --ignored"]
 fn titan_large_scale_8192_ranks() {
     let machine = machines::titan().with_shape(512, 1, 16);
     let evals = machine.cluster(1).run(|ctx| {

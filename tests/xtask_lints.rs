@@ -289,7 +289,7 @@ impl Pair {
     }
 }
 ";
-    let findings = lint_sources(&[("crates/sim/src/pool.rs", src)]);
+    let findings = lint_sources(&[("crates/sim/src/engine.rs", src)]);
     assert_eq!(lint_ids(&findings), vec!["concurrency/lock-order"]);
     assert_eq!(findings[0].line, 12, "{findings:?}");
     assert!(findings.iter().all(|f| f.level == Level::Error));
